@@ -34,7 +34,15 @@ class NearDefectiveModeError(CurvewaveError, ValueError):
 
 
 class FitQualityError(CurvewaveError, RuntimeError):
-    """Trajectory samples ill-conditioned for the requested fit."""
+    """Trajectory samples ill-conditioned for the requested fit.
+
+    ``data`` holds what the failed fit was computed from, when the raiser
+    has it, so that it can be written out and inspected.
+    """
+
+    def __init__(self, message, data=None):
+        super().__init__(message)
+        self.data = data
 
 
 class UndefinedCentroidError(CurvewaveError, ValueError):

@@ -23,6 +23,9 @@ from .spectrum import TUNNELING, delta_j
 #: evanescent skirt that would otherwise bias centroids
 EXTERIOR_SKIRT = 0.05
 
+#: largest block of Husimi line samples (bytes) a HusimiScan holds at once
+_SCAN_CHUNK_BYTES = 8.0e6
+
 
 @dataclass(frozen=True)
 class TrajectorySample:
@@ -228,6 +231,37 @@ class HusimiFrame:
     gap: float
 
 
+def _projection_line(h_grid, mu: float):
+    """Line samples h' (step <= sqrt(mu)/6) and the step-weighted window.
+
+    Returns (hp, weights) with weights[p, j] the normalized Gaussian window
+    of variance mu centred on h_grid[j], times the step, at h' = hp[p].
+    """
+    if mu <= 0:
+        raise DomainError("window variance mu must be positive")
+    step = math.sqrt(mu) / 6.0
+    pad = 6.0 * math.sqrt(mu)
+    hp = np.arange(h_grid[0] - pad, h_grid[-1] + pad + step, step)
+    window = ((mu * math.pi) ** -0.25
+              * np.exp(-((hp[None, :] - h_grid[:, None]) ** 2) / (2.0 * mu)))
+    return hp, window.T * step
+
+
+def _husimi_moments(values, d_grid, h_grid):
+    """Strength and centroid (d0, h0) of H values shaped (d, h, ...)."""
+    trailing = (None,) * (values.ndim - 2)
+    d_w = d_grid[(slice(None), None) + trailing]
+    h_w = h_grid[(None, slice(None)) + trailing]
+    strength = np.trapezoid(np.trapezoid(values, h_grid, axis=1), d_grid, axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        d0 = np.trapezoid(np.trapezoid(values * d_w, h_grid, axis=1),
+                          d_grid, axis=0) / strength
+        h0 = np.trapezoid(np.trapezoid(values * h_w, h_grid, axis=1),
+                          d_grid, axis=0) / strength
+    defined = strength > 0
+    return strength, np.where(defined, d0, np.nan), np.where(defined, h0, np.nan)
+
+
 def emission_husimi(field_at, alpha: float, d_grid, h_grid, mu: float,
                     boundary_radius: float, check_range: bool = True) -> HusimiFrame:
     """Emission Husimi function on the rotated projection line.
@@ -237,24 +271,16 @@ def emission_husimi(field_at, alpha: float, d_grid, h_grid, mu: float,
     coordinate h' (step <= sqrt(mu)/6) and convolved with the normalized
     Gaussian window of variance mu; the squared magnitude is H(D, h).
     """
-    if mu <= 0:
-        raise DomainError("window variance mu must be positive")
     d_grid = np.asarray(d_grid, dtype=float)
     h_grid = np.asarray(h_grid, dtype=float)
-    step = math.sqrt(mu) / 6.0
-    pad = 6.0 * math.sqrt(mu)
-    hp = np.arange(h_grid[0] - pad, h_grid[-1] + pad + step, step)
+    hp, weights = _projection_line(h_grid, mu)
 
     ca, sa = math.cos(alpha), math.sin(alpha)
     xs = d_grid[:, None] * ca - hp[None, :] * sa
     ys = d_grid[:, None] * sa + hp[None, :] * ca
     pts = np.stack([xs.ravel(), ys.ravel()], axis=-1)
     line = field_at(pts).reshape(len(d_grid), len(hp))
-
-    window = ((mu * math.pi) ** -0.25
-              * np.exp(-((hp[None, :] - h_grid[:, None]) ** 2) / (2.0 * mu)))
-    amp = line @ (window.T * step)
-    values = np.abs(amp) ** 2
+    values = np.abs(line @ weights) ** 2
 
     if check_range:
         peak = values.max()
@@ -264,25 +290,62 @@ def emission_husimi(field_at, alpha: float, d_grid, h_grid, mu: float,
             if edge > 0.01 * peak:
                 raise RangeError(
                     f"lobe leaks outside the Husimi window: edge/peak = {edge/peak:.3f}")
+    return _frame(alpha, mu, d_grid, h_grid, values, boundary_radius)
 
-    strength = float(np.trapezoid(np.trapezoid(values, h_grid, axis=1), d_grid))
-    if strength > 0:
-        d0 = float(np.trapezoid(np.trapezoid(values * d_grid[:, None], h_grid, axis=1),
-                                d_grid) / strength)
-        h0 = float(np.trapezoid(np.trapezoid(values * h_grid[None, :], h_grid, axis=1),
-                                d_grid) / strength)
-    else:
-        d0 = h0 = np.nan
+
+def _frame(alpha, mu, d_grid, h_grid, values, boundary_radius) -> HusimiFrame:
+    strength, d0, h0 = _husimi_moments(values, d_grid, h_grid)
     return HusimiFrame(alpha=float(alpha), mu=float(mu), d=d_grid, h=h_grid,
-                       values=values, centroid=(d0, h0), strength=strength,
-                       gap=h0 - boundary_radius)
+                       values=values, centroid=(float(d0), float(h0)),
+                       strength=float(strength), gap=float(h0) - boundary_radius)
+
+
+class HusimiScan:
+    """Emission Husimi of one field snapshot at every rotation angle at once.
+
+    The projection line at angle alpha is the alpha = 0 line rotated by
+    alpha, and on the snapshot's angular column mu that rotation is the
+    phase e^{i mu alpha}.  So the radial spline is evaluated once, on the
+    alpha = 0 points, and the Gaussian window is contracted over h' to give
+    B[d, h, mu]; the window amplitude at any alpha is then B E with
+    E[mu, alpha] = e^{i mu alpha}.  Agrees with ``emission_husimi`` of
+    ``snap.at_points`` to rounding.  The line samples are built a block of
+    d rows at a time, so only B grows with the grid.
+    """
+
+    def __init__(self, snap, d_grid, h_grid, mu: float):
+        self.d = np.asarray(d_grid, dtype=float)
+        self.h = np.asarray(h_grid, dtype=float)
+        self.mu = float(mu)
+        self.mu_values = snap.mu_values
+        hp, weights = _projection_line(self.h, mu)
+        r = np.hypot(self.d[:, None], hp[None, :])
+        theta = np.arctan2(hp[None, :], self.d[:, None])
+        rows = max(1, int(_SCAN_CHUNK_BYTES // (16 * len(hp) * len(self.mu_values))))
+        self.basis = np.empty((len(self.d), len(self.h), len(self.mu_values)),
+                              dtype=complex)
+        for lo in range(0, len(self.d), rows):
+            sl = slice(lo, lo + rows)
+            line = snap.radial_columns(r[sl].ravel()).reshape(
+                r[sl].shape + (len(self.mu_values),))
+            line *= np.exp(1j * theta[sl, :, None] * self.mu_values)
+            self.basis[sl] = np.matmul(weights.T, line)
+
+    def values(self, alphas) -> np.ndarray:
+        """H(d, h, alpha), shape (len(d), len(h), len(alphas))."""
+        rot = np.exp(1j * np.outer(self.mu_values, np.atleast_1d(alphas)))
+        return np.abs(self.basis @ rot) ** 2
+
+    def frame(self, alpha: float, boundary_radius: float) -> HusimiFrame:
+        return _frame(alpha, self.mu, self.d, self.h,
+                      self.values([alpha])[:, :, 0], boundary_radius)
 
 
 @dataclass
 class TunnelingDirection:
-    alpha_t: float            # crossing of the two gap curves (primary)
+    alpha_t: float | None     # crossing of the two gap curves (primary)
     alpha_t_strength: float   # argmax of the strength curve
-    delta: float              # gap at the crossing
+    delta: float | None       # gap at the crossing
     alphas: np.ndarray
     f_curve: np.ndarray
     gap_curves: dict          # time -> gap(alpha) array
@@ -297,27 +360,41 @@ def _parabolic_argmax(x, y):
     return float(x[i])
 
 
+def _scan_curves(field, alphas, d_grid, h_grid, mu: float, boundary_radius: float):
+    """Strength and gap curves over the angles, from a HusimiScan or a callable."""
+    if isinstance(field, HusimiScan):
+        if not (np.array_equal(field.d, d_grid) and np.array_equal(field.h, h_grid)
+                and field.mu == mu):
+            raise DomainError("HusimiScan grids differ from the requested scan")
+        strength, _, h0 = _husimi_moments(field.values(alphas), field.d, field.h)
+        return strength, h0 - boundary_radius
+    frames = [emission_husimi(field, a, d_grid, h_grid, mu, boundary_radius,
+                              check_range=False) for a in alphas]
+    return (np.array([hf.strength for hf in frames]),
+            np.array([hf.gap for hf in frames]))
+
+
 def tunneling_direction(field_at_by_time: dict, times, alphas, d_grid, h_grid,
                         mu: float, boundary_radius: float) -> TunnelingDirection:
     """Most probable tunneling direction and time-independent gap.
 
     Scans the rotation angle: the strength f(alpha) at the first time gives
     one estimate (its maximum); the crossing of the gap curves at the two
-    times gives the primary, time-independent one.
+    times gives the primary, time-independent one.  Each time maps to a
+    ``HusimiScan`` (all angles in one contraction) or to a plain callable of
+    points (sampled angle by angle with ``emission_husimi``).  When the gap
+    curves do not cross, the FitQualityError carries the curves as ``data``.
     """
     t1, t2 = times
     alphas = np.asarray(alphas, dtype=float)
-    f_curve = np.empty(len(alphas))
-    gaps = {t: np.empty(len(alphas)) for t in (t1, t2)}
-    for i, a in enumerate(alphas):
-        for t in (t1, t2):
-            hf = emission_husimi(field_at_by_time[t], a, d_grid, h_grid, mu,
-                                 boundary_radius, check_range=False)
-            gaps[t][i] = hf.gap
-            if t == t1:
-                f_curve[i] = hf.strength
-
+    f_curve, gap1 = _scan_curves(field_at_by_time[t1], alphas, d_grid, h_grid,
+                                 mu, boundary_radius)
+    _, gap2 = _scan_curves(field_at_by_time[t2], alphas, d_grid, h_grid,
+                           mu, boundary_radius)
+    gaps = {t1: gap1, t2: gap2}
     alpha_f = _parabolic_argmax(alphas, f_curve)
+    curves = TunnelingDirection(alpha_t=None, alpha_t_strength=alpha_f, delta=None,
+                                alphas=alphas, f_curve=f_curve, gap_curves=gaps)
 
     diff = gaps[t1] - gaps[t2]
     crossing = None
@@ -331,12 +408,12 @@ def tunneling_direction(field_at_by_time: dict, times, alphas, d_grid, h_grid,
             break
     if crossing is None:
         raise FitQualityError(
-            "gap curves do not cross on the alpha grid; inspect gap_curves")
+            "gap curves do not cross on the alpha grid; inspect gap_curves",
+            data=curves)
     gap_at = {t: float(np.interp(crossing, alphas, gaps[t])) for t in (t1, t2)}
-    delta = 0.5 * (gap_at[t1] + gap_at[t2])
-    return TunnelingDirection(alpha_t=crossing, alpha_t_strength=alpha_f,
-                              delta=delta, alphas=alphas, f_curve=f_curve,
-                              gap_curves={t1: gaps[t1], t2: gaps[t2]})
+    curves.alpha_t = crossing
+    curves.delta = 0.5 * (gap_at[t1] + gap_at[t2])
+    return curves
 
 
 def delta_predicted(expansion, table, pot: PotentialSpec) -> float:

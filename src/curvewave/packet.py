@@ -22,6 +22,7 @@ t_G = tau - s0 (zero when centered on the impact point).
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,10 +97,6 @@ class PacketSpec:
     def launch_point(self):
         return np.asarray(self.impact, dtype=float) - self.direction
 
-    def gauss_time(self, t_paper: float) -> float:
-        """Map paper-style time (impact at t = 1) to the free-Gaussian clock."""
-        return (t_paper - 1.0) * self.s0
-
 
 def gaussian_free(spec: PacketSpec, xy, t) -> complex:
     """Exact free Gaussian at points xy and Gaussian-clock time t.
@@ -171,11 +168,6 @@ class Expansion:
         mask = slice(None) if klass is None else (self.klass == klass)
         return len({(int(m), int(n)) for m, n in zip(self.m[mask], self.n[mask])})
 
-    def count_entries(self, klass=None) -> int:
-        if klass is None:
-            return len(self.coeff)
-        return int(np.sum(self.klass == klass))
-
     def counts(self):
         return {str(kl): self.count_modes(str(kl)) for kl in np.unique(self.klass)}
 
@@ -187,6 +179,16 @@ class Expansion:
     def scaled(self, factor: complex) -> "Expansion":
         return Expansion(self.m, self.n, self.branch, self.coeff * factor,
                          self.klass, self.threshold)
+
+    def thresholded(self) -> "Expansion":
+        """The uniform cut: every entry below ``cut`` dropped, resonances too.
+
+        On an evolution expansion (``resonance_threshold`` 0) this is exactly
+        the counting expansion ``expand(threshold)`` of the same coefficients.
+        """
+        keep = np.abs(self.coeff) >= self.cut
+        return Expansion(self.m[keep], self.n[keep], self.branch[keep],
+                         self.coeff[keep], self.klass[keep], self.threshold)
 
 
 def _support_interval(spec: PacketSpec, pad_sigmas: float = 8.0):
@@ -233,16 +235,64 @@ def _radial_profile(pot: PotentialSpec, m: int, k: complex, r):
     return out
 
 
+def _profile_table(pot: PotentialSpec, modes, r, jobs: int = 1) -> np.ndarray:
+    """Radial profiles of ``modes`` at radii r, one row per mode.
+
+    Disjoint row chunks are filled on ``jobs`` threads: the Bessel and Hankel
+    ufuncs behind each row release the GIL.  Every row is computed exactly as
+    a serial call computes it, so the table is bitwise the same for any
+    ``jobs``.
+    """
+    r = np.asarray(r, dtype=float)
+    table = np.empty((len(modes), len(r)), dtype=complex)
+
+    def fill(rows):
+        for i in rows:
+            table[i] = _radial_profile(pot, modes[i].m, modes[i].k, r)
+
+    if jobs > 1:
+        # several chunks per worker even out rows of unequal cost
+        # (bound tails are K ratios, resonance tails Hankel ratios)
+        chunks = np.array_split(np.arange(len(modes)), 8 * jobs)
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            list(pool.map(fill, chunks))
+    else:
+        fill(range(len(modes)))
+    return table
+
+
+def _angular_coefficients(spec: PacketSpec, nodes, n_theta: int) -> np.ndarray:
+    """Fourier coefficients over theta of the launched packet, per radius."""
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    xy = np.empty((len(nodes), n_theta, 2))
+    xy[..., 0] = nodes[:, None] * np.cos(theta)[None, :]
+    xy[..., 1] = nodes[:, None] * np.sin(theta)[None, :]
+    psi = gaussian_free(spec, xy.reshape(-1, 2), spec.t0).reshape(len(nodes), n_theta)
+    return np.fft.fft(psi, axis=1) / n_theta
+
+
+def _doubling_sample(exp: Expansion) -> dict:
+    """(m, n, branch) -> coeff of the 12 entries the panel-doubling check re-computes.
+
+    The entries are spread evenly over the ranking by magnitude.
+    """
+    idx = np.argsort(-np.abs(exp.coeff))[:: max(1, len(exp) // 12)][:12]
+    return {(int(exp.m[i]), int(exp.n[i]), int(exp.branch[i])): exp.coeff[i]
+            for i in idx}
+
+
 def expand(spec: PacketSpec, table: ModeTable, threshold: float,
            n_theta: int | None = None, panel_factor: float = 2.2,
            check_doubling: bool = True,
-           resonance_threshold: float | None = None) -> Expansion:
+           resonance_threshold: float | None = None,
+           jobs: int = 1) -> Expansion:
     """Expansion coefficients of the launched packet over the mode basis.
 
     The angular integral is a uniform trapezoid (spectrally exact for the
     band-limited integrand, evaluated as one FFT per radial node); the radial
     integral is composite Gauss-Legendre with panels tied to the fastest mode
-    oscillation, validated by panel doubling on a sample of modes.
+    oscillation.  Mode profiles at the nodes are tabulated on ``jobs``
+    threads; the result is bitwise the same for any ``jobs``.
 
     ``threshold`` is quoted for the radial overlap amplitude |coeff|/sqrt(2 pi)
     (see OVERLAP_SCALE); entries below it are dropped.  A CoverageError
@@ -251,7 +301,11 @@ def expand(spec: PacketSpec, table: ModeTable, threshold: float,
     ``resonance_threshold`` (default: same as threshold) may be set lower -
     usually 0 - for expansions meant to be evolved: resonance exterior tails
     only cancel collectively, so truncating that sector leaves orphaned
-    exponential tails, while truncating the bound sector is harmless.
+    exponential tails, while truncating the bound sector is harmless.  Such
+    an evolution expansion is one coefficient pass for both uses: its
+    ``thresholded()`` cut is the counting expansion.  The panel-doubling
+    check therefore verifies the 12-entry samples of both cuts, in one
+    doubled-quadrature pass over their union.
     """
     pot = table.pot
     lo, hi = _support_interval(spec)
@@ -265,20 +319,12 @@ def expand(spec: PacketSpec, table: ModeTable, threshold: float,
         band = max(band, int(3.0 * k_fast * hi))
         n_theta = 1 << int(math.ceil(math.log2(band)))
 
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    xy = np.empty((len(nodes), n_theta, 2))
-    xy[..., 0] = nodes[:, None] * np.cos(theta)[None, :]
-    xy[..., 1] = nodes[:, None] * np.sin(theta)[None, :]
-    psi = gaussian_free(spec, xy.reshape(-1, 2), spec.t0).reshape(len(nodes), n_theta)
-    psi_hat = np.fft.fft(psi, axis=1) / n_theta    # Fourier coefficients per radius
-
-    def coefficients(quad_nodes, quad_weights, hat, wanted=None):
+    def coefficients(quad_nodes, quad_weights, modes):
+        hat = _angular_coefficients(spec, quad_nodes, n_theta)
+        profiles = _profile_table(pot, modes, quad_nodes, jobs)
         rows = {"m": [], "n": [], "branch": [], "coeff": [], "klass": []}
         wr = quad_weights * quad_nodes
-        for mo in table.modes:
-            if wanted is not None and (mo.m, mo.n) not in wanted:
-                continue
-            prof = _radial_profile(pot, mo.m, mo.k, quad_nodes)
+        for mo, prof in zip(modes, profiles):
             n_rad = mo.norm / np.pi
             pre = math.sqrt(2.0 * np.pi) / np.sqrt(n_rad)
             branches = (1,) if mo.m == 0 else (1, -1)
@@ -292,7 +338,7 @@ def expand(spec: PacketSpec, table: ModeTable, threshold: float,
                 rows["klass"].append(mo.klass)
         return rows
 
-    rows = coefficients(nodes, weights, psi_hat)
+    rows = coefficients(nodes, weights, table.modes)
     coeff = np.asarray(rows["coeff"])
     klass = np.asarray(rows["klass"], dtype="U9")
     cut = threshold * OVERLAP_SCALE
@@ -303,27 +349,24 @@ def expand(spec: PacketSpec, table: ModeTable, threshold: float,
                     np.asarray(rows["branch"])[keep], coeff[keep],
                     klass[keep], threshold)
 
+    # entries below cut never trip the check, so either cut gives one outcome
     if cut > 0.0:
         _check_coverage(exp, table, cut)
 
     if check_doubling and len(exp):
-        idx = np.argsort(-np.abs(exp.coeff))[:: max(1, len(exp) // 12)][:12]
-        wanted = {(int(exp.m[i]), int(exp.n[i])) for i in idx}
+        sample = _doubling_sample(exp)
+        sample.update(_doubling_sample(exp.thresholded()))
+        wanted = {(m, n) for m, n, _ in sample}
         nodes2, weights2 = _gauss_legendre_nodes(lo, hi, 0.5 * panel_factor / k_fast)
-        xy2 = np.empty((len(nodes2), n_theta, 2))
-        xy2[..., 0] = nodes2[:, None] * np.cos(theta)[None, :]
-        xy2[..., 1] = nodes2[:, None] * np.sin(theta)[None, :]
-        psi2 = gaussian_free(spec, xy2.reshape(-1, 2), spec.t0).reshape(len(nodes2), n_theta)
-        hat2 = np.fft.fft(psi2, axis=1) / n_theta
-        rows2 = coefficients(nodes2, weights2, hat2, wanted=wanted)
+        rows2 = coefficients(nodes2, weights2,
+                             [mo for mo in table.modes if (mo.m, mo.n) in wanted])
         ref = {(m, n, b): c for m, n, b, c in zip(rows2["m"], rows2["n"],
                                                   rows2["branch"], rows2["coeff"])}
-        for i in idx:
-            key = (int(exp.m[i]), int(exp.n[i]), int(exp.branch[i]))
-            if abs(exp.coeff[i] - ref[key]) > 1.0e-8:
+        for key, c in sample.items():
+            if abs(c - ref[key]) > 1.0e-8:
                 raise AccuracyError(
                     f"expansion quadrature not converged for mode {key}: "
-                    f"{exp.coeff[i]} vs {ref[key]}")
+                    f"{c} vs {ref[key]}")
     return exp
 
 
@@ -389,14 +432,15 @@ class FieldFrame:
 class FieldEvaluator:
     """Caches mode radial profiles; evaluates the field at any time or point.
 
-    Profiles are sampled once on a uniform radial grid.  A time snapshot
+    Profiles are sampled once on a uniform radial grid, tabulated on ``jobs``
+    threads (bitwise the same table for any ``jobs``).  A time snapshot
     reduces the expansion to per-angular-frequency radial columns; polar
     frames come out exactly on the grid (inverse FFT over theta), scattered
     points via a cubic spline in r and exact phases in theta.
     """
 
     def __init__(self, expansion: Expansion, table: ModeTable,
-                 grid: GridSpec | None = None):
+                 grid: GridSpec | None = None, jobs: int = 1):
         self.expansion = expansion
         self.table = table
         self.grid = grid or GridSpec()
@@ -411,11 +455,10 @@ class FieldEvaluator:
         ids = expansion.mode_ids()
         self._modes = [by_id[i] for i in ids]
         self._row_of = {i: row for row, i in enumerate(ids)}
-        self._profiles = np.empty((len(ids), nr), dtype=complex)
+        self._profiles = _profile_table(self.pot, self._modes, self.r, jobs)
         for row, mo in enumerate(self._modes):
             n_rad = mo.norm / np.pi
-            self._profiles[row] = (_radial_profile(self.pot, mo.m, mo.k, self.r)
-                                   / (np.sqrt(n_rad) * math.sqrt(2.0 * np.pi)))
+            self._profiles[row] /= np.sqrt(n_rad) * math.sqrt(2.0 * np.pi)
         self._energies = np.array([mo.energy for mo in self._modes])
         self._entry_rows = np.array([self._row_of[(m, n)]
                                      for m, n in zip(expansion.m, expansion.n)])
@@ -453,18 +496,27 @@ class FieldSnapshot:
         return FieldFrame(r=self._ev.r, theta=self._ev.theta,
                           values=values, time=self.time)
 
-    def at_points(self, xy) -> np.ndarray:
-        """Field at scattered Cartesian points (spline in r, exact in theta)."""
-        xy = np.asarray(xy, dtype=float)
-        pts = np.atleast_2d(xy)
-        r = np.hypot(pts[:, 0], pts[:, 1])
+    def radial_columns(self, r) -> np.ndarray:
+        """Angular columns at radii r, shape (len(r), len(mu_values)).
+
+        A cubic spline in r between grid nodes, zero inside the first node;
+        the field at (r, theta) is sum_j columns[:, j] e^{i mu_j theta}.
+        """
+        r = np.asarray(r, dtype=float)
         if np.any(r > self._ev.grid.r_max + 1e-9):
             raise DomainError("evaluation point outside the field grid")
-        theta = np.arctan2(pts[:, 1], pts[:, 0])
         if self._spline is None:
             self._spline = CubicSpline(self._ev.r, self.cols, axis=0)
         vals = self._spline(np.clip(r, self._ev.r[0], self._ev.r[-1]))
         vals[r < self._ev.r[0]] *= 0.0
+        return vals
+
+    def at_points(self, xy) -> np.ndarray:
+        """Field at scattered Cartesian points (spline in r, exact in theta)."""
+        xy = np.asarray(xy, dtype=float)
+        pts = np.atleast_2d(xy)
+        vals = self.radial_columns(np.hypot(pts[:, 0], pts[:, 1]))
+        theta = np.arctan2(pts[:, 1], pts[:, 0])
         phases = np.exp(1j * theta[:, None] * self.mu_values[None, :])
         out = np.einsum("pj,pj->p", vals, phases)
         return out if xy.ndim > 1 else complex(out[0])

@@ -40,12 +40,6 @@ class PotentialSpec:
         """k_T = sqrt(k_V^2 + (m/R)^2); top of the tunneling barrier."""
         return math.hypot(self.k_step, m / self.radius)
 
-    def energy_of_k(self, k):
-        return self.hbar**2 * np.asarray(k) ** 2 / (2.0 * self.mass)
-
-    def k_of_energy(self, energy):
-        return np.sqrt(2.0 * self.mass * np.asarray(energy, dtype=complex)) / self.hbar
-
     def barrier_top(self, m: int) -> float:
         """V_eff just outside the step, V0 + hbar^2 m^2/(2 m* R^2)."""
         return self.v0 + (self.hbar * m) ** 2 / (2.0 * self.mass * self.radius**2)

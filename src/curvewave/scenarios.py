@@ -221,10 +221,13 @@ class Workspace:
         return table
 
     def expansion(self) -> Expansion:
-        """Thresholded expansion (the counting/artifact object)."""
+        """Thresholded expansion (the counting/artifact object).
+
+        The uniform cut of the evolution expansion: both come from one
+        coefficient pass.
+        """
         if self._expansion is None:
-            self._expansion = expand(self.cfg.packet, self.table(),
-                                     threshold=self.cfg.threshold)
+            self._expansion = self.evolution_expansion().thresholded()
         return self._expansion
 
     def evolution_expansion(self) -> Expansion:
@@ -237,7 +240,8 @@ class Workspace:
         if self._evol_expansion is None:
             self._evol_expansion = expand(self.cfg.packet, self.table(),
                                           threshold=self.cfg.threshold,
-                                          resonance_threshold=0.0)
+                                          resonance_threshold=0.0,
+                                          jobs=self.cfg.jobs)
         return self._evol_expansion
 
     def evaluator(self, grid: GridSpec | None = None) -> FieldEvaluator:
@@ -245,7 +249,8 @@ class Workspace:
         key = (grid.r_max, grid.nr, grid.ntheta)
         if key not in self._evaluators:
             self._evaluators[key] = FieldEvaluator(self.evolution_expansion(),
-                                                   self.table(), grid)
+                                                   self.table(), grid,
+                                                   jobs=self.cfg.jobs)
         return self._evaluators[key]
 
 
@@ -324,19 +329,24 @@ def run_husimi(ws: Workspace) -> dict:
             centroids[t] = (float("nan"), float("nan"))
     out["exterior_centroids"] = {str(t): centroids[t] for t in (t1, t2)}
 
-    field_at = {t: snaps[t].at_points for t in (t1, t2)}
+    scans = {t: obs.HusimiScan(snaps[t], d_grid, h_grid, cfg.husimi_mu)
+             for t in (t1, t2)}
+    failure = None
     try:
-        td = obs.tunneling_direction(field_at, (t1, t2), alphas, d_grid, h_grid,
+        td = obs.tunneling_direction(scans, (t1, t2), alphas, d_grid, h_grid,
                                      cfg.husimi_mu, pot.radius)
+    except FitQualityError as err:
+        td, failure = err.data, err
+    # the curves are written either way: a failed crossing points at them
+    ser.write_csv(ws.path(f"f_alpha_{cfg.preset}.csv"), ("alpha", "f"),
+                  list(zip(td.alphas, td.f_curve)))
+    ser.write_csv(ws.path(f"delta_alpha_{cfg.preset}.csv"),
+                  ("alpha", f"delta_t{t1}", f"delta_t{t2}"),
+                  list(zip(td.alphas, td.gap_curves[t1], td.gap_curves[t2])))
+    if failure is None:
         out.update(alpha_t=td.alpha_t, alpha_t_strength=td.alpha_t_strength,
                    delta=td.delta)
-        ser.write_csv(ws.path(f"f_alpha_{cfg.preset}.csv"), ("alpha", "f"),
-                      list(zip(td.alphas, td.f_curve)))
-        ser.write_csv(ws.path(f"delta_alpha_{cfg.preset}.csv"),
-                      ("alpha", f"delta_t{t1}", f"delta_t{t2}"),
-                      list(zip(td.alphas, td.gap_curves[t1], td.gap_curves[t2])))
-        hf = obs.emission_husimi(field_at[t1], td.alpha_t, d_grid, h_grid,
-                                 cfg.husimi_mu, pot.radius, check_range=False)
+        hf = scans[t1].frame(td.alpha_t, pot.radius)
         rows = [(d, h, hf.values[i, j]) for i, d in enumerate(d_grid)
                 for j, h in enumerate(h_grid)]
         ser.write_csv(ws.path(f"husimi_{td.alpha_t:+.4f}_{cfg.preset}.csv"),
@@ -345,8 +355,8 @@ def run_husimi(ws: Workspace) -> dict:
         eo = obs.emission_origin(track, spec, td.alpha_t, td.delta)
         out.update(delay_star_s0=eo.delay, back_position=list(eo.back_position),
                    speed_consistent=eo.speed_consistent)
-    except FitQualityError as err:
-        out["diagnostics"] = str(err)
+    else:
+        out["diagnostics"] = str(failure)
         out.update(alpha_t=None, delta=None, delay_star_s0=None)
     ser.write_json(ws.path(f"husimi_summary_{cfg.preset}.json"), out)
     return out

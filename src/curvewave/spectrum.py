@@ -53,10 +53,6 @@ class EigenMode:
     norm: complex
     klass: str
 
-    @property
-    def omega(self) -> float:
-        return self.energy.real
-
 
 def _make_mode(pot: PotentialSpec, m: int, n: int, k: complex) -> EigenMode:
     k = complex(k)

@@ -46,7 +46,8 @@ def deep_packet():
 @pytest.fixture(scope="session")
 def deep_expansion(deep_packet, small_table):
     return _cached("deep_expansion",
-                   lambda: expand(deep_packet, small_table, threshold=0.0005))
+                   lambda: expand(deep_packet, small_table, threshold=0.0005,
+                                  jobs=2))
 
 
 @pytest.fixture(scope="session")
@@ -74,20 +75,20 @@ def table_b(pot):
 @pytest.fixture(scope="session")
 def expansion_a(packet_a, table_a):
     return _cached("expansion_a",
-                   lambda: expand(packet_a, table_a, threshold=0.0005))
-
-
-@pytest.fixture(scope="session")
-def expansion_b(packet_b, table_b):
-    return _cached("expansion_b",
-                   lambda: expand(packet_b, table_b, threshold=0.0005))
+                   lambda: expand(packet_a, table_a, threshold=0.0005, jobs=2))
 
 
 @pytest.fixture(scope="session")
 def expansion_b_evolution(packet_b, table_b):
     return _cached("expansion_b_evol",
                    lambda: expand(packet_b, table_b, threshold=0.0005,
-                                  resonance_threshold=0.0))
+                                  resonance_threshold=0.0, jobs=2))
+
+
+@pytest.fixture(scope="session")
+def expansion_b(expansion_b_evolution):
+    """The counting cut of the same coefficient pass as the evolution one."""
+    return expansion_b_evolution.thresholded()
 
 
 @pytest.fixture(scope="session")
@@ -116,11 +117,11 @@ def table_d(pot):
 def expansion_c_evolution(packet_c, table_c):
     return _cached("expansion_c_evol",
                    lambda: expand(packet_c, table_c, threshold=0.0005,
-                                  resonance_threshold=0.0))
+                                  resonance_threshold=0.0, jobs=2))
 
 
 @pytest.fixture(scope="session")
 def expansion_d_evolution(packet_d, table_d):
     return _cached("expansion_d_evol",
                    lambda: expand(packet_d, table_d, threshold=0.0005,
-                                  resonance_threshold=0.0))
+                                  resonance_threshold=0.0, jobs=2))

@@ -1,5 +1,7 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from curvewave import scenarios
@@ -68,3 +70,19 @@ def test_config_roundtrip(tmp_path):
     assert back.m_lo == cfg.m_lo and back.m_hi == cfg.m_hi
     assert back.grid_r_max == cfg.grid_r_max
     assert back.fraction_times == cfg.fraction_times
+
+
+def test_husimi_writes_gap_curves_without_crossing(tmp_path):
+    # a five-m window of preset B: the gap curves do not cross, and the
+    # curves the diagnostic points at are written anyway
+    cfg = replace(scenarios.preset_config("B"), m_lo=118, m_hi=122, threshold=0.0)
+    ws = scenarios.Workspace(cfg, tmp_path)
+    ws.table(solve=True)
+    out = scenarios.run_husimi(ws)
+    assert "inspect gap_curves" in out["diagnostics"]
+    assert out["alpha_t"] is None and out["delta"] is None
+    n_alpha = len(np.arange(cfg.husimi_alpha[0], cfg.husimi_alpha[1] + 1e-12,
+                            cfg.husimi_alpha[2]))
+    for name in ("f_alpha_B.csv", "delta_alpha_B.csv"):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert len(lines) == n_alpha + 1

@@ -159,6 +159,68 @@ def test_single_mode_husimi_gap(pot):
     assert np.max(np.abs(hf2.values - hf.values)) <= 1e-6 * hf.values.max()
 
 
+def _husimi_curves(field_by_time, alphas, d_grid, h_grid):
+    try:
+        return obs.tunneling_direction(field_by_time, (0.0, 0.3), alphas, d_grid,
+                                       h_grid, 0.15**2 / 2, 2.0)
+    except FitQualityError as err:
+        return err.data
+
+
+def test_husimi_contraction_matches_per_angle_scan(pot):
+    res = find_resonances(pot, 120, (112.5, 115.5))
+    table = ModeTable(pot=pot, modes=list(res), diagnostics=[])
+    exp = Expansion([r.m for r in res], [r.n for r in res], [-1] * len(res),
+                    [1.0 + 0.2j * i for i in range(len(res))],
+                    [r.klass for r in res], 0.0)
+    ev = FieldEvaluator(exp, table, GridSpec(r_max=8.7, nr=2000, ntheta=1024))
+    snaps = {t: ev.snapshot(t, 1.0 / 90.0) for t in (0.0, 0.3)}
+    d_grid = np.arange(2.0, 7.0, 0.25)
+    h_grid = np.arange(1.0, 4.0, 0.04)
+    alphas = np.arange(-0.1, 0.1001, 0.05)
+    mu = 0.15**2 / 2
+    scans = {t: obs.HusimiScan(snaps[t], d_grid, h_grid, mu) for t in snaps}
+    fast = scans[0.0].values(alphas)
+    for i, a in enumerate(list(alphas) + [0.0123]):
+        ref = obs.emission_husimi(snaps[0.0].at_points, a, d_grid, h_grid, mu,
+                                  pot.radius, check_range=False)
+        got = scans[0.0].frame(a, pot.radius)
+        assert np.max(np.abs(got.values - ref.values)) <= 1e-12 * ref.values.max()
+        if i < len(alphas):
+            assert np.array_equal(fast[:, :, i], got.values)
+        assert got.strength == pytest.approx(ref.strength, rel=1e-12)
+        assert got.gap == pytest.approx(ref.gap, abs=1e-12)
+
+    contracted = _husimi_curves(scans, alphas, d_grid, h_grid)
+    per_angle = _husimi_curves({t: s.at_points for t, s in snaps.items()},
+                               alphas, d_grid, h_grid)
+    assert np.max(np.abs(contracted.f_curve - per_angle.f_curve)) \
+        <= 1e-12 * np.max(per_angle.f_curve)
+    for t in snaps:
+        gap_error = contracted.gap_curves[t] - per_angle.gap_curves[t]
+        assert np.max(np.abs(gap_error)) <= 1e-12
+    with pytest.raises(DomainError):
+        obs.HusimiScan(snaps[0.0], d_grid + 4.0, h_grid, mu)
+
+
+def test_tunneling_direction_failure_carries_curves():
+    # lobes with different image distances: the gap curves run parallel
+    alpha_star = -0.045
+    field_by_time = {7.5: _lobe_field(alpha_star, 0.2)(2.9),
+                     10.0: _lobe_field(alpha_star, 0.6)(4.1)}
+    alphas = np.arange(-0.15, 0.0501, 0.01)
+    with pytest.raises(FitQualityError, match="inspect gap_curves") as info:
+        obs.tunneling_direction(field_by_time, (7.5, 10.0), alphas,
+                                np.arange(2.0, 7.0, 0.1), np.arange(1.0, 4.0, 0.04),
+                                0.15**2 / 2, 2.0)
+    curves = info.value.data
+    assert curves.alpha_t is None and curves.delta is None
+    assert np.array_equal(curves.alphas, alphas)
+    assert curves.f_curve.shape == alphas.shape
+    diff = curves.gap_curves[7.5] - curves.gap_curves[10.0]
+    assert np.all(np.isfinite(diff)) and np.all(np.sign(diff) == np.sign(diff[0]))
+
+
 def _lobe_field(alpha, delta, R=2.0, width=0.6, k=45.0):
     """Gaussian lobe propagating normal to the alpha-rotated line with the
     apparent source on the image circle; the independent oracle for the

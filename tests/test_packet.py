@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from curvewave.errors import CoverageError, DomainError
+from curvewave import packet
+from curvewave.errors import AccuracyError, CoverageError, DomainError
 from curvewave.packet import (Expansion, FieldEvaluator, GridSpec, PacketSpec,
                               evolve, expand, gaussian_free, reconstruct)
 from curvewave.spectrum import BOUND, build_mode_table
@@ -64,6 +66,73 @@ def test_deep_packet_bound_subspace(deep_expansion):
     assert deep_expansion.bound_weight() >= 0.999
     assert deep_expansion.bound_weight() <= 1.0 + 1e-6
     assert deep_expansion.count_modes(BOUND) == deep_expansion.count_modes()
+
+
+def _assert_same_expansion(a, b):
+    for name in ("m", "n", "branch", "coeff", "klass"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.threshold == b.threshold
+
+
+def test_threaded_tabulation_matches_serial_bitwise(deep_packet, small_table,
+                                                    deep_expansion):
+    # the fixture expansion tabulates its profiles on 2 threads
+    _assert_same_expansion(expand(deep_packet, small_table, threshold=0.0005,
+                                  jobs=1), deep_expansion)
+    grid = GridSpec(r_max=4.0, nr=400, ntheta=256)
+    snaps = [FieldEvaluator(deep_expansion, small_table, grid, jobs=jobs)
+             .snapshot(0.7, deep_packet.s0) for jobs in (1, 2)]
+    assert np.array_equal(snaps[0].cols, snaps[1].cols)
+    assert np.array_equal(snaps[0].polar_frame().values, snaps[1].polar_frame().values)
+
+    # more threads than cores, switching as often as the interpreter allows
+    modes = small_table.modes[::4]
+    r = np.linspace(0.01, 4.0, 300)
+    serial = packet._profile_table(small_table.pot, modes, r, jobs=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = packet._profile_table(small_table.pot, modes, r, jobs=5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(serial, threaded)
+
+
+def test_one_pass_cuts_match_separate_expansions(deep_packet, small_table,
+                                                 deep_expansion, monkeypatch):
+    evolution = expand(deep_packet, small_table, threshold=0.0005,
+                       resonance_threshold=0.0, jobs=2)
+    # deep_expansion is a separate expand(threshold) call
+    _assert_same_expansion(evolution.thresholded(), deep_expansion)
+    assert len(evolution) > len(deep_expansion)
+    bound = evolution.klass == BOUND
+    assert np.array_equal(evolution.coeff[bound],
+                          deep_expansion.coeff[deep_expansion.klass == BOUND])
+
+    # both cuts' doubling samples are verified: skew the doubled quadrature
+    # of a mode that only the counting cut samples, and the check must trip
+    sampled = [packet._doubling_sample(e) for e in (evolution, deep_expansion)]
+    evolution_modes = {(m, n) for m, n, _ in sampled[0]}
+    counting_only = sorted({(m, n) for m, n, _ in sampled[1]} - evolution_modes)
+    assert counting_only
+    target = counting_only[0]
+    tabulated = []
+    real_table = packet._profile_table
+
+    def skewed(pot, modes, r, jobs=1):
+        table = real_table(pot, modes, r, jobs)
+        if len(modes) < len(small_table):          # the doubled pass
+            tabulated.extend((mo.m, mo.n) for mo in modes)
+            for row, mo in enumerate(modes):
+                if (mo.m, mo.n) == target:
+                    table[row] *= 1.001
+        return table
+
+    monkeypatch.setattr(packet, "_profile_table", skewed)
+    with pytest.raises(AccuracyError, match=rf"mode \({target[0]}, {target[1]},"):
+        expand(deep_packet, small_table, threshold=0.0005,
+               resonance_threshold=0.0, jobs=2)
+    assert set(tabulated) == evolution_modes | {(m, n) for m, n, _ in sampled[1]}
 
 
 def test_reconstruction_fidelity_deep(deep_packet, small_table, deep_expansion):
