@@ -115,7 +115,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "modes" and args.m is not None:
-        pot = PotentialSpec()
+        # the potential of --config/--preset, the default one without either
+        pot = (_config_from(args).potential if args.config or args.preset
+               else PotentialSpec())
         kmax = args.kmax if args.kmax else pot.k_step + 20.0
         table = build_mode_table(pot, [args.m], resonance_k_max=kmax,
                                  jobs=args.jobs)

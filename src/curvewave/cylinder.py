@@ -12,6 +12,16 @@ Conventions used throughout the package:
   ``ln_bessel_k``, ``hankel1_scaled`` and the ``*_logderiv`` /
   ``*_order_ratios`` helpers.  Those are exact scaled forward recurrences
   seeded in the representable region, so no asymptotic series is involved.
+* the array ratios ``bessel_k_ratio_array`` and ``hankel1_ratio_array``
+  (the exterior tails of the mode profiles) always take one scaled forward
+  recurrence in the order, seeded by ``kve``/``hankel1`` at orders 0 and 1,
+  over a whole (rows x points) block with each row's reference argument as
+  one more column.  A direct large-order AMOS value costs several
+  microseconds a point (D. E. Amos, ACM TOMS 12, 265 (1986)); the two seeds
+  plus m elementwise steps cost a fraction of that.  The recurrence is stable
+  for K and, on and above the real axis, for H^(1) (W. Gautschi, SIAM Rev. 9,
+  24 (1967)); far below the axis H^(1) turns minimal under the turning point,
+  and there the direct value is used (see ``hankel1_ratio_array``).
 """
 
 from __future__ import annotations
@@ -271,63 +281,91 @@ def hankel1_order_ratios(m: int, z):
     return a / b, (2.0 * m / z) - a / b
 
 
-def bessel_k_ratio_array(m: int, x, x_ref: float):
-    """K_m(x)/K_m(x_ref) for an array of x > 0, overflow/underflow-safe."""
+def _with_ref_column(z, z_ref):
+    """(rows, P+1) array: ``z`` as rows of P points, each row's ``z_ref`` last."""
+    ref = np.asarray(z_ref, dtype=z.dtype)
+    return np.concatenate([z.reshape(ref.size, -1), ref.reshape(-1, 1)], axis=1)
+
+
+def _forward_recurrence(m: int, z, a, b, scale, sign: float):
+    """Z_m = value * exp(scale) at every element of ``z``, from Z_0 and Z_1.
+
+    ``a``, ``b`` are Z_0, Z_1 in units of exp(``scale``) and
+    Z_{mu+1} = (2 mu/z) Z_mu + sign Z_{mu-1}.  An element whose value passes
+    _RESCALE is divided by its magnitude, the log going into its scale.
+    Every element goes through the same elementwise operations, so its
+    result does not depend on the array it sits in.
+    """
+    if m == 0:
+        return a, scale
+    w = 2.0 / z
+    for mu in range(1, m):
+        nxt = w * b
+        nxt *= mu
+        if sign > 0.0:
+            nxt += a
+        else:
+            nxt -= a
+        a, b = b, nxt
+        # cheap screen on the components; |b| only where one is large
+        if np.max(np.abs(b.view(float))) > _RESCALE:
+            big = np.abs(b) > _RESCALE
+            mag = np.abs(b[big])
+            a[big] /= mag
+            b[big] /= mag
+            scale[big] += np.log(mag)
+    return b, scale
+
+
+def _ratio_to_ref(value, scale, shape):
+    """Each row over its last column, from (value, log scale) pairs."""
+    with np.errstate(under="ignore"):
+        out = (value[:, :-1] / value[:, -1:]) * np.exp(scale[:, :-1] - scale[:, -1:])
+    return out.reshape(shape)
+
+
+def bessel_k_ratio_array(m: int, x, x_ref):
+    """K_m(x)/K_m(x_ref) for x > 0, overflow/underflow-safe.
+
+    ``x`` is (P,) with a scalar ``x_ref``, or (rows, P) with one ``x_ref``
+    per row.  One scaled forward recurrence from kve at orders 0 and 1
+    (K_m = kve e^{-x}); it is stable for K, the dominant solution.
+    """
     m = _check_order(m)
     x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        num = special.kve(m, x)
-        den = special.kve(m, x_ref)
-        out = (num / den) * np.exp(-(x - x_ref))
-    if np.isfinite(den) and den != 0.0 and np.all(np.isfinite(num)):
-        return out
-    # scaled forward recurrences; the log difference is always representable
-    ln_ref = ln_bessel_k(m, float(x_ref))
-    a = special.kve(0, x)
-    b = special.kve(1, x)
-    scale = -x.astype(float).copy()
-    if m == 0:
-        b = a
-    for mu in range(1, m):
-        a, b = b, (2.0 * mu / x) * b + a
-        mag = np.abs(b)
-        big = mag > _RESCALE
-        if np.any(big):
-            a[big] /= mag[big]
-            scale[big] += np.log(mag[big])
-            b[big] /= mag[big]
-    with np.errstate(under="ignore"):
-        return b * np.exp(scale - ln_ref)
+    cols = _with_ref_column(x, x_ref)
+    value, scale = _forward_recurrence(m, cols, special.kve(0, cols),
+                                       special.kve(1, cols), -cols, 1.0)
+    return _ratio_to_ref(value, scale, x.shape)
 
 
-def hankel1_ratio_array(m: int, z, z_ref: complex):
-    """H^(1)_m(z)/H^(1)_m(z_ref) for an array of z, overflow-safe.
+#: below this Im z the forward recurrence for H^(1) is not used (see
+#: hankel1_ratio_array); its rounding error grows like e^{2 |Im z|} * eps
+_FORWARD_MIN_IMAG = -4.0
 
-    Falls back to a vectorized scaled forward recurrence (seeded at orders
-    0, 1 where H^(1) is representable for any z != 0) when direct values
-    overflow, as they do deep under the centrifugal barrier.
+
+def hankel1_ratio_array(m: int, z, z_ref):
+    """H^(1)_m(z)/H^(1)_m(z_ref) for z != 0, overflow-safe.
+
+    ``z`` is (P,) with a scalar ``z_ref``, or (rows, P) with one ``z_ref``
+    per row.  One scaled forward recurrence from H^(1)_0 and H^(1)_1, which
+    is stable on and above the real axis: H^(1) is dominant where it grows
+    (m > |z|) and neutral where it oscillates.  Below the axis, under the
+    turning point, H^(1) decays in the order while H^(2) grows, so rounding
+    is amplified by up to e^{2 |Im z|}; there (Im z < _FORWARD_MIN_IMAG) the
+    direct value is taken instead, unless it overflows.
     """
     m = _check_order(m)
     z = np.asarray(z, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        num = special.hankel1(m, z)
-        den = special.hankel1(m, complex(z_ref))
-    if np.isfinite(den) and den != 0.0 and np.all(np.isfinite(num)):
-        return num / den
-    val_ref, ln_ref = hankel1_scaled(m, complex(z_ref))
-    a = special.hankel1(0, z).astype(complex)
-    b = special.hankel1(1, z).astype(complex)
-    scale = np.zeros(z.shape, dtype=float)
-    if m == 0:
-        b = a
-    for mu in range(1, m):
-        a, b = b, (2.0 * mu / z) * b - a
-        mag = np.abs(b)
-        big = mag > _RESCALE
-        if np.any(big):
-            a[big] /= mag[big]
-            scale[big] += np.log(mag[big])
-            b[big] /= mag[big]
-    # true H_m(z) = b * exp(scale); divide by val_ref * exp(ln_ref)
-    with np.errstate(under="ignore"):
-        return (b / val_ref) * np.exp(scale - ln_ref)
+    cols = _with_ref_column(z, z_ref)
+    value, scale = _forward_recurrence(m, cols, special.hankel1(0, cols),
+                                       special.hankel1(1, cols),
+                                       np.zeros(cols.shape), -1.0)
+    low = cols.imag < _FORWARD_MIN_IMAG
+    if np.any(low):
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = special.hankel1(m, cols[low])
+        ok = np.isfinite(direct)
+        value[low] = np.where(ok, direct, value[low])
+        scale[low] = np.where(ok, 0.0, scale[low])
+    return _ratio_to_ref(value, scale, z.shape)

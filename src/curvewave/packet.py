@@ -210,49 +210,54 @@ def _gauss_legendre_nodes(lo: float, hi: float, panel: float, order: int = 15):
     return nodes, weights
 
 
-def _radial_profile(pot: PotentialSpec, m: int, k: complex, r):
-    """Mode radial part at radii r: J_m(kr) inside, matched tail outside."""
-    r = np.asarray(r, dtype=float)
-    out = np.zeros(r.shape, dtype=complex)
-    inside = r <= pot.radius
-    kc = complex(k)
-    if kc.imag == 0.0:
-        out[inside] = special.jv(m, kc.real * r[inside])
-    else:
-        out[inside] = special.jv(m, kc * r[inside])
-    if np.any(~inside):
-        e = pot.hbar**2 * kc * kc / (2.0 * pot.mass)
-        j_edge = complex(special.jv(m, kc * pot.radius))
-        if e.real < pot.v0:
-            kap = complex(np.sqrt(2.0 * pot.mass * (pot.v0 - e)) / pot.hbar).real
-            ratio = cylinder.bessel_k_ratio_array(m, kap * r[~inside],
-                                                  kap * pot.radius)
-        else:
-            kout = complex(np.sqrt(2.0 * pot.mass * (e - pot.v0)) / pot.hbar)
-            ratio = cylinder.hankel1_ratio_array(m, kout * r[~inside],
-                                                 kout * pot.radius)
-        out[~inside] = j_edge * ratio
-    return out
-
-
 def _profile_table(pot: PotentialSpec, modes, r, jobs: int = 1) -> np.ndarray:
     """Radial profiles of ``modes`` at radii r, one row per mode.
 
-    Disjoint row chunks are filled on ``jobs`` threads: the Bessel and Hankel
-    ufuncs behind each row release the GIL.  Every row is computed exactly as
-    a serial call computes it, so the table is bitwise the same for any
-    ``jobs``.
+    A row is J_m(kr) inside the step and the matched tail
+    J_m(kR) Z_m(qr)/Z_m(qR) outside, with Z = K for bound modes (evanescent
+    exterior) and Z = H^(1) for resonances (outgoing exterior).  The interior
+    is one ``jv`` call per row.  The tails of all the modes of one m and one
+    kind come from one ratio-array call, so one order recurrence serves them
+    all: the ratio arrays are recurrence-only, because a large-order
+    ``hankel1`` costs several microseconds a point while the recurrence is
+    two seed calls plus m cheap elementwise steps.
+
+    Disjoint row chunks are filled on ``jobs`` threads (the ufuncs release the
+    GIL).  Every element goes through the same elementwise operations, so
+    the table is bitwise the same for any ``jobs`` and any grouping.
     """
     r = np.asarray(r, dtype=float)
+    inside = r <= pot.radius
+    outside = ~inside
+    r_in, r_out = r[inside], r[outside]
     table = np.empty((len(modes), len(r)), dtype=complex)
 
     def fill(rows):
+        tails = {}
         for i in rows:
-            table[i] = _radial_profile(pot, modes[i].m, modes[i].k, r)
+            m, kc = modes[i].m, complex(modes[i].k)
+            table[i, inside] = special.jv(m, kc.real * r_in if kc.imag == 0.0
+                                          else kc * r_in)
+            e = pot.hbar**2 * kc * kc / (2.0 * pot.mass)
+            evanescent = e.real < pot.v0
+            if evanescent:
+                q = complex(np.sqrt(2.0 * pot.mass * (pot.v0 - e)) / pot.hbar).real
+            else:
+                q = complex(np.sqrt(2.0 * pot.mass * (e - pot.v0)) / pot.hbar)
+            tails.setdefault((m, evanescent), []).append((i, kc, q))
+        if len(r_out) == 0:
+            return
+        for (m, evanescent), group in tails.items():
+            idx, k, q = (np.array(col) for col in zip(*group))
+            ratio_array = (cylinder.bessel_k_ratio_array if evanescent
+                           else cylinder.hankel1_ratio_array)
+            ratio = ratio_array(m, q[:, None] * r_out, q * pot.radius)
+            j_edge = special.jv(m, k * pot.radius)
+            table[np.ix_(idx, outside)] = j_edge[:, None] * ratio
 
     if jobs > 1:
         # several chunks per worker even out rows of unequal cost
-        # (bound tails are K ratios, resonance tails Hankel ratios)
+        # (the recurrence runs m steps; bound tails are real, resonance complex)
         chunks = np.array_split(np.arange(len(modes)), 8 * jobs)
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             list(pool.map(fill, chunks))

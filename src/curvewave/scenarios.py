@@ -127,8 +127,13 @@ def preset_config(name: str, jobs: int = 1) -> ScenarioConfig:
     return cfg
 
 
+def _fmt_floats(values) -> str:
+    return " ".join(map(ser.fmt, values))
+
+
 def save_config(cfg: ScenarioConfig, path) -> None:
-    cp = configparser.ConfigParser()
+    """Write every field but ``jobs`` (a run setting, from ``--jobs``)."""
+    cp = configparser.ConfigParser(interpolation=None)
     cp["potential"] = {k: ser.fmt(v) for k, v in (("radius", cfg.potential.radius),
                                                   ("v0", cfg.potential.v0),
                                                   ("mass", cfg.potential.mass),
@@ -140,18 +145,25 @@ def save_config(cfg: ScenarioConfig, path) -> None:
     cp["expansion"] = {"threshold": ser.fmt(cfg.threshold)}
     cp["table"] = {"m_lo": str(cfg.m_lo), "m_hi": str(cfg.m_hi),
                    "resonance_k_max": ser.fmt(cfg.resonance_k_max)}
+    if cfg.max_im_k is not None:            # absent: the solver's default
+        cp["table"]["max_im_k"] = ser.fmt(cfg.max_im_k)
     cp["grid"] = {"r_max": ser.fmt(cfg.grid_r_max), "nr": str(cfg.grid_nr),
                   "ntheta": str(cfg.grid_ntheta)}
-    cp["times"] = {"gh_pre": " ".join(map(ser.fmt, cfg.gh_times_pre)),
-                   "gh_post": " ".join(map(ser.fmt, cfg.gh_times_post)),
-                   "husimi": " ".join(map(ser.fmt, cfg.husimi_times)),
-                   "fractions": " ".join(map(ser.fmt, cfg.fraction_times))}
+    cp["times"] = {"gh_pre": _fmt_floats(cfg.gh_times_pre),
+                   "gh_post": _fmt_floats(cfg.gh_times_post),
+                   "husimi": _fmt_floats(cfg.husimi_times),
+                   "fractions": _fmt_floats(cfg.fraction_times)}
+    cp["husimi"] = {"alpha": _fmt_floats(cfg.husimi_alpha),
+                    "d": _fmt_floats(cfg.husimi_d),
+                    "h": _fmt_floats(cfg.husimi_h),
+                    "mu": ser.fmt(cfg.husimi_mu)}
     with ser.atomic_write(path) as f:
         cp.write(f)
 
 
 def load_config(path) -> ScenarioConfig:
-    cp = configparser.ConfigParser()
+    """Read a config; options an older file lacks keep their defaults."""
+    cp = configparser.ConfigParser(interpolation=None)
     with open(path) as f:
         cp.read_file(f)
     pot = PotentialSpec(radius=cp.getfloat("potential", "radius", fallback=2.0),
@@ -170,14 +182,21 @@ def load_config(path) -> ScenarioConfig:
         m_lo=cp.getint("table", "m_lo"),
         m_hi=cp.getint("table", "m_hi"),
         resonance_k_max=cp.getfloat("table", "resonance_k_max"),
+        max_im_k=cp.getfloat("table", "max_im_k", fallback=None),
         grid_r_max=cp.getfloat("grid", "r_max", fallback=8.0),
         grid_nr=cp.getint("grid", "nr", fallback=1200),
         grid_ntheta=cp.getint("grid", "ntheta", fallback=1024),
     )
-    for key, attr in (("gh_pre", "gh_times_pre"), ("gh_post", "gh_times_post"),
-                      ("husimi", "husimi_times"), ("fractions", "fraction_times")):
-        if cp.has_option("times", key):
-            setattr(cfg, attr, tuple(float(v) for v in cp.get("times", key).split()))
+    for section, key, attr in (("times", "gh_pre", "gh_times_pre"),
+                               ("times", "gh_post", "gh_times_post"),
+                               ("times", "husimi", "husimi_times"),
+                               ("times", "fractions", "fraction_times"),
+                               ("husimi", "alpha", "husimi_alpha"),
+                               ("husimi", "d", "husimi_d"),
+                               ("husimi", "h", "husimi_h")):
+        if cp.has_option(section, key):
+            setattr(cfg, attr, tuple(float(v) for v in cp.get(section, key).split()))
+    cfg.husimi_mu = cp.getfloat("husimi", "mu", fallback=cfg.husimi_mu)
     return cfg
 
 

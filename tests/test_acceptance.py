@@ -178,12 +178,13 @@ def husimi_b(pot, packet_b, table_b, expansion_b_evolution):
         centroids[t] = obs.average_position(frame, "exterior", pot.radius,
                                             min_probability=0.0)
     alphas = np.arange(-0.15, 0.0501, 0.005)
+    d_grid = np.arange(2.0, 7.0001, 0.05)
+    h_grid = np.arange(1.0, 4.0001, 0.02)
+    mu = 0.15**2 / 2
     try:
-        td = obs.tunneling_direction({t: snaps[t].at_points for t in snaps},
-                                     (7.5, 10.0), alphas,
-                                     np.arange(2.0, 7.0001, 0.05),
-                                     np.arange(1.0, 4.0001, 0.02),
-                                     0.15**2 / 2, pot.radius)
+        scans = {t: obs.HusimiScan(snaps[t], d_grid, h_grid, mu) for t in snaps}
+        td = obs.tunneling_direction(scans, (7.5, 10.0), alphas, d_grid, h_grid,
+                                     mu, pot.radius)
     except Exception as err:           # no crossing: diagnostics, not values
         td = err
     return {"centroids": centroids, "direction": td,

@@ -1,12 +1,17 @@
 import json
-from dataclasses import replace
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvewave import scenarios
 from curvewave.cli import main
+from curvewave.potential import PotentialSpec
 from curvewave.serialization import load_modes
+from curvewave.spectrum import build_mode_table
 
 
 def test_corefn_eval(capsys):
@@ -61,15 +66,81 @@ def test_missing_mode_table_error(tmp_path, capsys):
     assert "modes" in err["message"]
 
 
-def test_config_roundtrip(tmp_path):
-    cfg = scenarios.preset_config("C")
-    path = tmp_path / "c.ini"
+def test_modes_single_m_takes_config_potential(tmp_path, capsys):
+    cfg = replace(scenarios.preset_config("B"), potential=PotentialSpec(v0=3000.0))
+    path = tmp_path / "v3000.ini"
     scenarios.save_config(cfg, path)
-    back = scenarios.load_config(path)
-    assert back.m0 == cfg.m0 and back.k0 == 122.065
-    assert back.m_lo == cfg.m_lo and back.m_hi == cfg.m_hi
-    assert back.grid_r_max == cfg.grid_r_max
-    assert back.fraction_times == cfg.fraction_times
+    kmax = cfg.potential.k_step + 10.0
+    assert main(["modes", "--m", "30", "--kmax", str(kmax), "--config", str(path),
+                 "--out", str(tmp_path)]) == 0
+    table = load_modes(tmp_path / "modes_m30.txt")
+    assert table.pot == cfg.potential
+    want = build_mode_table(cfg.potential, [30], resonance_k_max=kmax)
+    assert [mo.k for mo in table.modes] == [mo.k for mo in want.modes]
+    default = build_mode_table(PotentialSpec(), [30], resonance_k_max=kmax)
+    assert len(table) != len(default)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+_TIMES = st.lists(_FINITE, max_size=4).map(tuple)
+_RANGE = st.tuples(_FINITE, _FINITE, _FINITE)
+_INT = st.integers(-10**9, 10**9)
+#: a strategy per ScenarioConfig field; jobs is a run setting (--jobs)
+_CONFIG_FIELDS = {
+    "preset": st.from_regex(r"[A-Za-z0-9_-]{1,12}", fullmatch=True),
+    "potential": st.builds(PotentialSpec, radius=_POSITIVE, v0=_POSITIVE,
+                           mass=_POSITIVE, hbar=_POSITIVE),
+    "m0": _FINITE, "k0": _FINITE, "sigma": _FINITE,
+    "impact": st.tuples(_FINITE, _FINITE),
+    "threshold": _FINITE,
+    "m_lo": _INT, "m_hi": _INT,
+    "resonance_k_max": _FINITE,
+    "max_im_k": st.none() | _FINITE,
+    "grid_r_max": _FINITE, "grid_nr": _INT, "grid_ntheta": _INT,
+    "gh_times_pre": _TIMES, "gh_times_post": _TIMES, "husimi_times": _TIMES,
+    "husimi_alpha": _RANGE, "husimi_d": _RANGE, "husimi_h": _RANGE,
+    "husimi_mu": _FINITE,
+    "fraction_times": _TIMES,
+}
+
+
+def test_config_strategy_covers_every_field():
+    names = {f.name for f in fields(scenarios.ScenarioConfig)}
+    assert set(_CONFIG_FIELDS) == names - {"jobs"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=st.builds(scenarios.ScenarioConfig, **_CONFIG_FIELDS),
+       jobs=st.integers(1, 8))
+def test_config_roundtrip(cfg, jobs):
+    cfg = replace(cfg, jobs=jobs)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.ini"
+        scenarios.save_config(cfg, path)
+        back = scenarios.load_config(path)
+    assert back.jobs == 1                  # not stored: --jobs sets it
+    assert replace(back, jobs=jobs) == cfg
+
+
+def test_config_roundtrip_presets_and_old_files(tmp_path):
+    for name in sorted(scenarios.PRESETS):
+        cfg = scenarios.preset_config(name)
+        scenarios.save_config(cfg, tmp_path / f"{name}.ini")
+        assert scenarios.load_config(tmp_path / f"{name}.ini") == cfg
+    # a file written before the husimi section and max_im_k were stored
+    old = tmp_path / "old.ini"
+    old.write_text("[packet]\npreset = C\nm0 = 140\nk0 = 122.065\n"
+                   "[table]\nm_lo = 68\nm_hi = 212\nresonance_k_max = 162.065\n"
+                   "[times]\nfractions = 1.6 2\n")
+    cfg = scenarios.load_config(old)
+    default = scenarios.ScenarioConfig()
+    assert (cfg.m0, cfg.k0, cfg.m_lo, cfg.m_hi) == (140.0, 122.065, 68, 212)
+    assert cfg.fraction_times == (1.6, 2.0)
+    assert cfg.max_im_k is None and cfg.potential == PotentialSpec()
+    for attr in ("husimi_alpha", "husimi_d", "husimi_h", "husimi_mu",
+                 "husimi_times", "gh_times_pre", "grid_nr"):
+        assert getattr(cfg, attr) == getattr(default, attr)
 
 
 def test_husimi_writes_gap_curves_without_crossing(tmp_path):

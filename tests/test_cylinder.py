@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -172,12 +173,92 @@ def test_ratio_arrays_match_direct():
     got = cylinder.hankel1_ratio_array(m, z0 * r / 2.0, z0)
     want = special.hankel1(m, z0 * r / 2.0) / special.hankel1(m, z0)
     assert np.allclose(got, want, rtol=1e-9)
-    # overflow regime falls back to the scaled recurrence
+    # the raw values overflow here; the scaled recurrence does not
     m, z0 = 170, 3.0
     got = cylinder.hankel1_ratio_array(m, np.array([3.0, 6.0, 12.0]), z0)
     assert got[0] == pytest.approx(1.0, rel=1e-9)
     assert np.all(np.isfinite(got))
     assert abs(got[2]) < abs(got[1]) < 1.0
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(np.asarray(got) - want) / np.abs(want))
+
+
+def _mp_ratio(fn, m, z, z_ref):
+    with mpmath.workdps(40):
+        den = fn(m, mpmath.mpmathify(complex(z_ref)))
+        return np.array([complex(fn(m, mpmath.mpmathify(complex(v))) / den)
+                         for v in np.ravel(z)])
+
+
+def test_ratio_recurrence_against_mpmath():
+    r = np.linspace(2.0, 8.7, 9)
+    # leaky exterior, m < |z|: the recurrence where Im z >= -4, the direct
+    # value deeper in the lower half plane (q r reaches Im -11 near m = |z|)
+    for m, q in [(40, 60.0 - 0.3j), (120, 52.0 - 0.05j), (180, 22.0 - 1.3j)]:
+        got = cylinder.hankel1_ratio_array(m, q * r, q * 2.0)
+        assert _rel_err(got, _mp_ratio(mpmath.hankel1, m, q * r, q * 2.0)) < 1e-12
+    # deep-evanescent H1, m >> |z|: the raw value at the edge overflows
+    for m, q in [(200, 1.5 + 0j), (180, 1.0 - 0.1j)]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(special.hankel1(m, q * 2.0))
+        got = cylinder.hankel1_ratio_array(m, q * r, q * 2.0)
+        assert _rel_err(got, _mp_ratio(mpmath.hankel1, m, q * r, q * 2.0)) < 1e-12
+    # K from the edge down to underflow
+    m, kap = 30, 120.0
+    x = kap * np.linspace(2.0, 8.7, 40)
+    got = cylinder.bessel_k_ratio_array(m, x, kap * 2.0)
+    want = _mp_ratio(mpmath.besselk, m, x, kap * 2.0).real
+    normal = want > 1e-290
+    assert normal.sum() > 20 and np.any(want == 0.0)
+    assert _rel_err(got[normal], want[normal]) < 1e-12
+    assert np.all(got[want == 0.0] == 0.0)
+
+
+def test_ratio_recurrence_against_direct_path():
+    # the direct AMOS quotients the recurrence replaced, as the oracle
+    r = np.linspace(2.0, 8.0, 61)
+    for m in (0, 1, 2, 7, 48, 90, 113, 160, 203):
+        for q in (25.0 - 0.4j, 52.6 - 1e-6j, 113.0 - 0.02j, 140.0 - 0.3j):
+            want = special.hankel1(m, q * r) / special.hankel1(m, q * 2.0)
+            got = cylinder.hankel1_ratio_array(m, q * r, q * 2.0)
+            assert _rel_err(got, want) < 1e-11, (m, q)
+        for kap in (5.0, 40.0, 95.0):
+            x = kap * r
+            want = (special.kve(m, x) / special.kve(m, kap * 2.0)
+                    * np.exp(-(x - kap * 2.0)))
+            got = cylinder.bessel_k_ratio_array(m, x, kap * 2.0)
+            ok = want > 1e-290
+            assert _rel_err(got[ok], want[ok]) < 1e-11, (m, kap)
+
+
+def test_ratio_recurrence_orders_zero_and_one():
+    z = np.array([0.5, 3.0 - 0.2j, 40.0 - 2.0j, 60.0 - 6.0j])
+    z_ref = 2.0 - 0.1j
+    for m in (0, 1):
+        assert np.array_equal(
+            cylinder.hankel1_ratio_array(m, z, z_ref),
+            special.hankel1(m, z) / special.hankel1(m, z_ref))
+        x = np.array([0.1, 1.0, 30.0, 700.0])
+        want = special.kve(m, x) / special.kve(m, 2.0) * np.exp(-(x - 2.0))
+        assert _rel_err(cylinder.bessel_k_ratio_array(m, x, 2.0), want) < 1e-14
+
+
+def test_ratio_recurrence_batched_rows_bitwise():
+    rng = np.random.default_rng(7)
+    r = np.linspace(2.0, 8.7, 257)
+    q = rng.uniform(1.0, 130.0, 11) - 1j * rng.uniform(0.0, 1.5, 11)
+    kap = rng.uniform(0.5, 110.0, 11)
+    for m in (0, 1, 2, 75, 190):
+        rows = cylinder.hankel1_ratio_array(m, q[:, None] * r, q * 2.0)
+        for i in range(len(q)):
+            assert np.array_equal(
+                rows[i], cylinder.hankel1_ratio_array(m, q[i] * r, q[i] * 2.0))
+        rows = cylinder.bessel_k_ratio_array(m, kap[:, None] * r, kap * 2.0)
+        for i in range(len(kap)):
+            assert np.array_equal(
+                rows[i], cylinder.bessel_k_ratio_array(m, kap[i] * r, kap[i] * 2.0))
 
 
 def test_domain_and_range_errors():
