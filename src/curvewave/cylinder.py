@@ -287,19 +287,36 @@ def _with_ref_column(z, z_ref):
     return np.concatenate([z.reshape(ref.size, -1), ref.reshape(-1, 1)], axis=1)
 
 
-def _forward_recurrence(m: int, z, a, b, scale, sign: float):
-    """Z_m = value * exp(scale) at every element of ``z``, from Z_0 and Z_1.
+def _forward_recurrence(m, z, a, b, scale, sign: float):
+    """(Z_{m-1}, Z_m, scale) at every element of ``z``, from Z_0 and Z_1.
 
     ``a``, ``b`` are Z_0, Z_1 in units of exp(``scale``) and
-    Z_{mu+1} = (2 mu/z) Z_mu + sign Z_{mu-1}.  An element whose value passes
-    _RESCALE is divided by its magnitude, the log going into its scale.
-    Every element goes through the same elementwise operations, so its
-    result does not depend on the array it sits in.
+    Z_{mu+1} = (2 mu/z) Z_mu + sign Z_{mu-1}; Z_{-1} = sign Z_1.  ``m`` is
+    one order for every element, or one order per entry of the first axis
+    of ``z``, sorted ascending: the recurrence then runs on a shrinking
+    slice, and the rows whose order it has reached leave with their pair.
+    An element whose value passes _RESCALE is divided by its magnitude, the
+    log going into its scale.  Every element goes through the same
+    elementwise operations, so its result does not depend on the array it
+    sits in.
     """
-    if m == 0:
-        return a, scale
-    w = 2.0 / z
-    for mu in range(1, m):
+    orders = np.broadcast_to(np.asarray(m, dtype=int), z.shape[:1])
+    top = int(orders[-1]) if orders.size else 0
+    # ends[mu]: number of leading rows whose order is <= mu
+    ends = np.searchsorted(orders, np.arange(top + 1), side="right")
+    lower, value, out_scale = np.empty_like(a), np.empty_like(b), np.empty_like(scale)
+    lower[:ends[0]] = sign * b[:ends[0]]
+    value[:ends[0]] = a[:ends[0]]
+    out_scale[:ends[0]] = scale[:ends[0]]
+    lo = ends[0]
+    a, b, scale, w = a[lo:], b[lo:], scale[lo:], 2.0 / z[lo:]
+    for mu in range(1, top):
+        if ends[mu] > lo:
+            n = ends[mu] - lo
+            lower[lo:ends[mu]], value[lo:ends[mu]] = a[:n], b[:n]
+            out_scale[lo:ends[mu]] = scale[:n]
+            a, b, scale, w = a[n:], b[n:], scale[n:], w[n:]
+            lo = ends[mu]
         nxt = w * b
         nxt *= mu
         if sign > 0.0:
@@ -314,7 +331,10 @@ def _forward_recurrence(m: int, z, a, b, scale, sign: float):
             a[big] /= mag
             b[big] /= mag
             scale[big] += np.log(mag)
-    return b, scale
+    if lo == 0:
+        return a, b, scale
+    lower[lo:], value[lo:], out_scale[lo:] = a, b, scale
+    return lower, value, out_scale
 
 
 def _ratio_to_ref(value, scale, shape):
@@ -334,8 +354,8 @@ def bessel_k_ratio_array(m: int, x, x_ref):
     m = _check_order(m)
     x = np.asarray(x, dtype=float)
     cols = _with_ref_column(x, x_ref)
-    value, scale = _forward_recurrence(m, cols, special.kve(0, cols),
-                                       special.kve(1, cols), -cols, 1.0)
+    _, value, scale = _forward_recurrence(m, cols, special.kve(0, cols),
+                                          special.kve(1, cols), -cols, 1.0)
     return _ratio_to_ref(value, scale, x.shape)
 
 
@@ -358,9 +378,9 @@ def hankel1_ratio_array(m: int, z, z_ref):
     m = _check_order(m)
     z = np.asarray(z, dtype=complex)
     cols = _with_ref_column(z, z_ref)
-    value, scale = _forward_recurrence(m, cols, special.hankel1(0, cols),
-                                       special.hankel1(1, cols),
-                                       np.zeros(cols.shape), -1.0)
+    _, value, scale = _forward_recurrence(m, cols, special.hankel1(0, cols),
+                                          special.hankel1(1, cols),
+                                          np.zeros(cols.shape), -1.0)
     low = cols.imag < _FORWARD_MIN_IMAG
     if np.any(low):
         with np.errstate(over="ignore", invalid="ignore"):

@@ -236,6 +236,8 @@ class Workspace:
                                  resonance_k_max=cfg.resonance_k_max,
                                  jobs=cfg.jobs, max_im_k=cfg.max_im_k)
         ser.save_modes(self.modes_path, table)
+        # the seeds the solver rejected (m, seed, reason), kept beside the table
+        ser.write_json(self.path(f"diagnostics_{cfg.preset}.json"), table.diagnostics)
         self._table = table
         return table
 

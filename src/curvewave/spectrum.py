@@ -6,17 +6,40 @@ whose zeros are the bound and resonance wavenumbers.  Everything is written
 in "log-derivative ratio" form, i.e. the exterior function enters only
 through Z'/Z and the order ratios Z_{m+-1}/Z_m, so the deep-evanescent regime
 (huge K_m / H_m values) never overflows.
+
+All of it runs on one array kernel, ``_matching``, over elements (m_i, k_i)
+with any mix of orders.  The interior takes J_{m-1} and J_m from ``jv`` and
+J_{m+1} from the three-term relation, which is stable here because kR >= m
+(to within a few orders) on every search path.  The exterior pair
+(Z_{m-1}, Z_m) comes from one scaled forward recurrence in the order with
+per-element orders (``cylinder._forward_recurrence``); H^(1) far below the
+real axis is taken directly, as in ``cylinder.hankel1_ratio_array``.
+
+``build_mode_table`` solves a whole m window as one batch:
+
+1. one real-k grid over every m, with a step of a quarter mode spacing;
+2. bound roots: sign changes are bracketed and every bracket is polished at
+   once by safeguarded Newton (bisection when a step leaves its bracket) to
+   brentq's tolerance; an m whose count disagrees with the Sturm census is
+   scanned again at half, a quarter and an eighth of the step;
+3. resonances: the local minima of |characteristic| on the real axis seed
+   one batched damped complex Newton iteration with a secant fallback;
+4. the mode records (class, norm, amplitude ratio) come from one more
+   kernel pass over all roots.
+
+Every element goes through the same elementwise operations whatever batch it
+sits in, so a window solve and per-m solves give bitwise equal modes.
+``find_bound_modes``, ``find_resonances``, ``characteristic`` and
+``mode_norm`` are one-m calls of the same batch.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from . import cylinder
 from .errors import ConvergenceError, DomainError, NearDefectiveModeError
@@ -29,6 +52,11 @@ LEAKY = "leaky"
 _SCAN_STEP_FACTOR = np.pi / 4.0      # scan step = pi/(4R), quarter mode spacing
 _DEDUP_TOL = 1.0e-8
 _RESIDUAL_TOL = 1.0e-10
+#: brentq's stopping rule for the bound polish: xtol + rtol |k|, rtol = 4 eps
+_BOUND_XTOL = 1.0e-13
+_BOUND_RTOL = 8.9e-16
+_BOUND_MAX_ITER = 100
+_NEWTON_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -54,77 +82,101 @@ class EigenMode:
     klass: str
 
 
-def _make_mode(pot: PotentialSpec, m: int, n: int, k: complex) -> EigenMode:
-    k = complex(k)
-    energy = complex(pot.hbar**2 * k * k / (2.0 * pot.mass))
-    gamma = max(0.0, -2.0 * energy.imag)
-    if k.imag == 0.0 and k.real < pot.k_step:
-        klass = BOUND
-    elif k.real < pot.k_top(m):
-        klass = TUNNELING
-    else:
-        klass = LEAKY
-    c = _amplitude_ratio(pot, m, k)
-    norm = _analytic_norm(pot, m, k)
-    return EigenMode(m=m, n=n, k=k, energy=energy, gamma=gamma, c=c,
-                     norm=norm, klass=klass)
+@dataclass(frozen=True)
+class _Match:
+    """Matching quantities at elements (m_i, k_i); see ``_matching``."""
+
+    g: np.ndarray        # scaled determinant J' - (q/k) J S
+    dg: np.ndarray       # dg/dk
+    scale: np.ndarray    # |J'| + |J S|, the size of g's terms
+    J: np.ndarray        # J_m(kR)
+    Jm1: np.ndarray      # J_{m-1}(kR)
+    Jp1: np.ndarray      # J_{m+1}(kR)
+    rm: np.ndarray       # Z_{m-1}(qR)/Z_m(qR)
+    rp: np.ndarray       # Z_{m+1}(qR)/Z_m(qR)
+    Z: np.ndarray        # Z_m(qR) = Z * exp(log_scale)
+    log_scale: np.ndarray
 
 
-def _exterior_wavenumber(pot: PotentialSpec, k: complex):
-    """(q, kind): q = kappa and kind='k' below the step, q = k_out, 'h1' above."""
-    e = pot.hbar**2 * (complex(k) ** 2) / (2.0 * pot.mass)
-    if e.real < pot.v0:
-        q = np.sqrt(2.0 * pot.mass * (pot.v0 - e)) / pot.hbar
-        return q, "k"
-    q = np.sqrt(2.0 * pot.mass * (e - pot.v0)) / pot.hbar
-    return q, "h1"
+def _jv(order, z, real):
+    """J_order(z); elements flagged ``real`` are evaluated on the real line."""
+    out = np.empty(z.shape, dtype=complex)
+    out[real] = special.jv(order[real], z.real[real])
+    out[~real] = special.jv(order[~real], z[~real])
+    return out
 
 
-def _ext_logderiv(kind: str, m: int, w):
-    if kind == "k":
-        if np.iscomplexobj(w) and abs(np.imag(w)) > 0:
-            # bound branch is only ever used with real kappa
-            w = complex(w).real
-        return cylinder.bessel_k_logderiv(m, float(np.real(w)))
-    return cylinder.hankel1_logderiv(m, w)
+def _exterior_pair(m, w, below):
+    """(Z_{m-1}, Z_m, log scale): K_m(Re w) where ``below``, else H^(1)_m(w).
 
-
-def _g_and_deriv(pot: PotentialSpec, m: int, k: complex):
-    """Scaled characteristic g(k) = J'(z) - (q/k) J(z) S(w) and dg/dk.
-
-    S = Z'(w)/Z(w) with w = qR; poles of the raw determinant are divided out
-    by Z(w), which never vanishes on the search paths.
+    One scaled forward recurrence per kind over all its elements, sorted by
+    order.  H^(1) below Im w = cylinder._FORWARD_MIN_IMAG, where the
+    recurrence amplifies rounding, is taken directly (the scaled scalar path
+    where that overflows).
     """
+    a = np.empty(w.shape, dtype=complex)
+    b = np.empty(w.shape, dtype=complex)
+    scale = np.empty(w.shape)
+    by_order = np.argsort(m, kind="stable")
+    k_idx, h_idx = by_order[below[by_order]], by_order[~below[by_order]]
+    x = w[k_idx].real
+    a[k_idx], b[k_idx], scale[k_idx] = cylinder._forward_recurrence(
+        m[k_idx], x, special.kve(0, x), special.kve(1, x), -x, 1.0)
+    wh = w[h_idx]
+    pa, pb, ps = cylinder._forward_recurrence(
+        m[h_idx], wh, special.hankel1(0, wh), special.hankel1(1, wh),
+        np.zeros(h_idx.size), -1.0)
+    for i in np.nonzero(wh.imag < cylinder._FORWARD_MIN_IMAG)[0]:
+        pa[i], pb[i], ps[i] = cylinder._h_pair_scaled(int(m[h_idx[i]]), complex(wh[i]))
+    a[h_idx], b[h_idx], scale[h_idx] = pa, pb, ps
+    return a, b, scale
+
+
+def _matching(pot: PotentialSpec, m, k) -> _Match:
+    """Scaled characteristic g(k) = J'(z) - (q/k) J(z) S(w), dg/dk and parts.
+
+    ``m`` (int) and ``k`` (complex) are 1-D arrays of the same length.
+    z = kR, w = qR with q = kappa below the step (K exterior) and k_out above
+    it (H^(1) exterior); S = Z'(w)/Z(w), so the poles of the raw determinant
+    are divided out by Z(w), which never vanishes on the search paths.
+    """
+    m = np.asarray(m, dtype=int)
+    k = np.asarray(k, dtype=complex)
     R = pot.radius
-    k = complex(k)
     z = k * R
-    q, kind = _exterior_wavenumber(pot, k)
-    q = complex(q)
-    w = q * R
+    e = pot.hbar**2 * k * k / (2.0 * pot.mass)
+    below = e.real < pot.v0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        q = np.sqrt(2.0 * pot.mass * np.where(below, pot.v0 - e, e - pot.v0)) / pot.hbar
+        w = q * R
+        # the K branch is only ever used with real kappa
+        w = np.where(below, w.real, w)
+        real = k.imag == 0.0
+        J = _jv(m, z, real)
+        Jm1 = _jv(np.abs(m - 1), z, real)
+        Jm1 = np.where(m == 0, -Jm1, Jm1)
+        Jp1 = (2.0 * m / z) * J - Jm1
+        Jp = 0.5 * (Jm1 - Jp1)
+        Jpp = -(1.0 - m * m / (z * z)) * J - Jp / z
 
-    J = complex(special.jv(m, z))
-    Jm1 = complex(special.jv(m - 1, z)) if m >= 1 else -complex(special.jv(1, z))
-    Jp1 = complex(special.jv(m + 1, z))
-    Jp = 0.5 * (Jm1 - Jp1)
-    Jpp = -(1.0 - m * m / (z * z)) * J - Jp / z
+        a, b, log_scale = _exterior_pair(m, w, below)
+        # Z_{m+1} = (2m/w) Z_m + sgn Z_{m-1}: sgn = +1 for K, -1 for H^(1)
+        sgn = np.where(below, 1.0, -1.0)
+        rm = a / b
+        rp = (2.0 * m / w) + sgn * rm
+        S = -0.5 * (sgn * rm + rp)
+        # S' from the modified (K) or ordinary (H^(1)) Bessel ODE
+        Sp = sgn * (1.0 + sgn * m * m / (w * w)) - S / w - S * S
+        dq_dk = -sgn * k / q
+        dqk_dk = -sgn * pot.k_step**2 / (q * k * k)
 
-    S = complex(_ext_logderiv(kind, m, w))
-    if kind == "k":
-        # S' from the modified Bessel ODE
-        Sp = (1.0 + m * m / (w * w)) - S / w - S * S
-        dq_dk = -k / q
-        dqk_dk = -(pot.k_step**2) / (q * k * k)
-    else:
-        Sp = -(1.0 - m * m / (w * w)) - S / w - S * S
-        dq_dk = k / q
-        dqk_dk = (pot.k_step**2) / (q * k * k)
-
-    g = Jp - (q / k) * J * S
-    dg = (R * Jpp
-          - dqk_dk * J * S
-          - (q / k) * (R * Jp * S + J * Sp * R * dq_dk))
-    scale = abs(Jp) + abs(J * S)
-    return g, dg, scale
+        g = Jp - (q / k) * J * S
+        dg = (R * Jpp
+              - dqk_dk * J * S
+              - (q / k) * (R * Jp * S + J * Sp * R * dq_dk))
+        scale = np.abs(Jp) + np.abs(J * S)
+    return _Match(g=g, dg=dg, scale=scale, J=J, Jm1=Jm1, Jp1=Jp1, rm=rm, rp=rp,
+                  Z=b, log_scale=log_scale)
 
 
 def characteristic(pot: PotentialSpec, m: int, k):
@@ -137,117 +189,76 @@ def characteristic(pot: PotentialSpec, m: int, k):
         kc = complex(k)
         if kc == 0:
             raise DomainError("characteristic undefined at k = 0")
-        g, _, scale = _g_and_deriv(pot, m, kc)
-        val = g / scale
+        mt = _matching(pot, [m], [kc])
+        val = complex(mt.g[0] / mt.scale[0])
         if kc.imag == 0.0 and kc.real < pot.k_step:
             return val.real
         return val
     ks = np.asarray(k, dtype=float)
     if np.any(ks == 0):
         raise DomainError("characteristic undefined at k = 0")
-    out = np.empty(ks.shape, dtype=complex)
-    below = ks < pot.k_step
-    if np.any(below):
-        out[below] = _char_grid_bound(pot, m, ks[below])
-    if np.any(~below):
-        out[~below] = _char_grid_resonance(pot, m, ks[~below])
-    return out
+    mt = _matching(pot, np.full(ks.size, m), ks.ravel())
+    return (mt.g / mt.scale).reshape(ks.shape)
 
 
 def characteristic_deriv(pot: PotentialSpec, m: int, k) -> complex:
     """Analytic d/dk of the (unscaled) ratio-form characteristic."""
-    g, dg, scale = _g_and_deriv(pot, m, complex(k))
-    return dg / scale
+    mt = _matching(pot, [m], [complex(k)])
+    return complex(mt.dg[0] / mt.scale[0])
 
 
-def _char_grid_bound(pot: PotentialSpec, m: int, ks):
-    """Vectorized real characteristic on the bound branch."""
-    R = pot.radius
-    z = ks * R
-    kap = np.sqrt(pot.k_step**2 - ks**2)
-    w = kap * R
-    J = special.jv(m, z)
-    Jm1 = special.jv(m - 1, z) if m >= 1 else -special.jv(1, z)
-    Jp = 0.5 * (Jm1 - special.jv(m + 1, z))
-    with np.errstate(over="ignore", invalid="ignore"):
-        kv0 = special.kve(m, w)
-        S = -0.5 * (special.kve(abs(m - 1), w) + special.kve(m + 1, w)) / kv0
-    bad = ~np.isfinite(S)
-    for i in np.nonzero(bad)[0]:
-        S[i] = cylinder.bessel_k_logderiv(m, float(w[i]))
-    g = Jp - (kap / ks) * J * S
-    return g / (np.abs(Jp) + np.abs(J * S))
-
-
-def _char_grid_resonance(pot: PotentialSpec, m: int, ks):
-    """Vectorized complex characteristic on the resonance branch (real k)."""
-    R = pot.radius
-    z = ks * R
-    kout = np.sqrt(np.maximum(ks**2 - pot.k_step**2, 0.0))
-    w = kout * R
-    J = special.jv(m, z)
-    Jm1 = special.jv(m - 1, z) if m >= 1 else -special.jv(1, z)
-    Jp = 0.5 * (Jm1 - special.jv(m + 1, z))
-    with np.errstate(over="ignore", invalid="ignore"):
-        H = special.hankel1(m, w)
-        Hp = 0.5 * ((special.hankel1(m - 1, w) if m >= 1 else -special.hankel1(1, w))
-                    - special.hankel1(m + 1, w))
-        S = Hp / H
-    bad = ~np.isfinite(S)
-    for i in np.nonzero(bad)[0]:
-        S[i] = cylinder.hankel1_logderiv(m, complex(w[i]))
-    g = Jp - (kout / ks) * J * S
-    return g / (np.abs(Jp) + np.abs(J * S))
-
-
-def _amplitude_ratio(pot: PotentialSpec, m: int, k: complex) -> complex:
-    """c = Z_m(qR)/J_m(kR); inf when the exterior value exceeds double range."""
-    q, kind = _exterior_wavenumber(pot, k)
-    w = complex(q) * pot.radius
-    J = complex(special.jv(m, k * pot.radius))
-    if kind == "k":
-        ln_k = cylinder.ln_bessel_k(m, w.real)
-        if ln_k > 709.0 or ln_k - math.log(abs(J)) > 709.0:
-            return complex(np.inf)
-        return complex(math.exp(ln_k) / J)
-    val, scale = cylinder.hankel1_scaled(m, w)
-    ln_mag = math.log(abs(val)) + scale - math.log(abs(J))
-    if ln_mag > 709.0:
-        return complex(np.inf)
-    return val * cmath.exp(scale) / J
-
-
-def _analytic_norm(pot: PotentialSpec, m: int, k: complex) -> complex:
-    """Closed-form inner product (angular factor pi included).
+def _norms(pot: PotentialSpec, mt: _Match):
+    """Closed-form inner products (angular factor pi included).
 
     interior:  pi R^2/2 [J_m^2 - J_{m-1} J_{m+1}](kR)
     exterior: -pi R^2/2 J_m(kR)^2 (1 - rho_- rho_+), rho_± = Z_{m±1}(qR)/Z_m(qR)
 
     The exterior form follows from continuity (exterior amplitude J(kR)/Z(qR))
     and the indefinite integral of x Z_m^2(x); for resonances the oscillatory
-    boundary term at infinity is the usual regularized (dropped) one.
+    boundary term at infinity is the usual regularized (dropped) one.  Bound
+    modes are evaluated on the real line, so their norms are exactly real.
     """
     R = pot.radius
-    k = complex(k)
-    q, kind = _exterior_wavenumber(pot, k)
-    # real arithmetic for bound modes keeps their norm exactly real
-    z = k.real * R if kind == "k" and k.imag == 0.0 else k * R
-    w = complex(q) * R
-    J = special.jv(m, z)
-    Jm1 = special.jv(m - 1, z) if m >= 1 else -special.jv(1, z)
-    Jp1 = special.jv(m + 1, z)
-    interior = J * J - Jm1 * Jp1
-    if kind == "k":
-        rm, rp = cylinder.bessel_k_order_ratios(m, w.real)
-    else:
-        rm, rp = cylinder.hankel1_order_ratios(m, w)
-    exterior = -J * J * (1.0 - rm * rp)
-    return complex((np.pi * R * R / 2.0) * (interior + exterior))
+    interior = mt.J * mt.J - mt.Jm1 * mt.Jp1
+    exterior = -mt.J * mt.J * (1.0 - mt.rm * mt.rp)
+    return (np.pi * R * R / 2.0) * (interior + exterior)
+
+
+def _amplitude_ratios(mt: _Match):
+    """c = Z_m(qR)/J_m(kR); inf where the value exceeds double range."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ln_mag = np.log(np.abs(mt.Z)) + mt.log_scale - np.log(np.abs(mt.J))
+        return np.where(ln_mag > 709.0, np.inf, mt.Z / mt.J * np.exp(mt.log_scale))
+
+
+def _mode_records(pot: PotentialSpec, m, n, k) -> list[EigenMode]:
+    """EigenMode records of the roots (m_i, n_i, k_i), from one kernel pass."""
+    if not len(k):
+        return []
+    mt = _matching(pot, m, k)
+    norms = _norms(pot, mt)
+    ratios = _amplitude_ratios(mt)
+    modes = []
+    for mi, ni, ki, norm, c in zip(m, n, k, norms, ratios):
+        ki = complex(ki)
+        energy = complex(pot.hbar**2 * ki * ki / (2.0 * pot.mass))
+        if ki.imag == 0.0 and ki.real < pot.k_step:
+            klass = BOUND
+        elif ki.real < pot.k_top(mi):
+            klass = TUNNELING
+        else:
+            klass = LEAKY
+        # + 0.0 turns the -0.0 imaginary part of a real value into 0.0
+        modes.append(EigenMode(m=int(mi), n=int(ni), k=ki, energy=energy,
+                               gamma=max(0.0, -2.0 * energy.imag),
+                               c=complex(c.real, c.imag + 0.0),
+                               norm=complex(norm.real, norm.imag + 0.0), klass=klass))
+    return modes
 
 
 def mode_norm(mode: EigenMode, pot: PotentialSpec) -> complex:
     """Analytic norm of a verified mode; raises on near-defective modes."""
-    norm = _analytic_norm(pot, mode.m, mode.k)
+    norm = complex(_norms(pot, _matching(pot, [mode.m], [mode.k]))[0])
     if abs(norm) < 1.0e-14 * (np.pi * pot.radius**2 / 2.0):
         raise NearDefectiveModeError(
             f"mode (m={mode.m}, n={mode.n}) norm {norm} too small for expansion")
@@ -284,53 +295,205 @@ def count_bound_sturm(pot: PotentialSpec, m: int) -> int:
     return s + (1 if mu < nu else 0)
 
 
+def _polish_brackets(pot: PotentialSpec, m, a, b, ga, gb):
+    """Real roots of g in the brackets [a_i, b_i], g(a_i) g(b_i) < 0, at once.
+
+    Safeguarded Newton from the false-position point: a step that leaves its
+    bracket, or does not halve the previous one's size, is replaced by
+    bisection.  Stops at brentq's tolerance; an iterate where g == 0 exactly
+    is the root.
+    """
+    neg_lo = ga < 0.0
+    lo = np.where(neg_lo, a, b)          # g(lo) < 0 < g(hi)
+    hi = np.where(neg_lo, b, a)
+    x = a - ga * (b - a) / (gb - ga)
+    dx_old = np.abs(b - a)
+    roots = np.empty_like(x)
+    todo = np.arange(x.size)
+    m = np.asarray(m)
+    for _ in range(_BOUND_MAX_ITER):
+        if not todo.size:
+            return roots
+        mt = _matching(pot, m[todo], x)
+        g, dg = mt.g.real, mt.dg.real
+        lo = np.where(g < 0.0, x, lo)
+        hi = np.where(g > 0.0, x, hi)
+        tol = _BOUND_XTOL + _BOUND_RTOL * np.abs(x)
+        left, right = np.minimum(lo, hi), np.maximum(lo, hi)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            newton = x - g / dg
+            # a target within tol of an end that already sits on the root
+            # (to rounding) is taken as that end, not bisected away from it
+            inside = (newton >= left - tol) & (newton <= right + tol)
+            slow = np.abs(2.0 * g) > np.abs(dx_old * dg)
+        nxt = np.where(inside & ~slow, np.clip(newton, left, right), 0.5 * (lo + hi))
+        dx_old = np.abs(nxt - x)
+        exact = g == 0.0
+        done = exact | (dx_old <= tol)
+        roots[todo[done]] = np.where(exact, x, nxt)[done]
+        keep = ~done
+        todo, x, lo, hi, dx_old = todo[keep], nxt[keep], lo[keep], hi[keep], dx_old[keep]
+    if todo.size:
+        raise ConvergenceError(
+            f"bound polish m={int(m[todo[0]])}: no convergence in "
+            f"{_BOUND_MAX_ITER} iterations near k={x[0]}")
+    return roots
+
+
+def _bound_grid(lo: float, hi: float, step: float):
+    ks = np.arange(lo, hi, step)
+    if ks[-1] < hi:
+        ks = np.append(ks, hi)
+    return ks
+
+
+def _scan_bound(pot: PotentialSpec, windows: dict, step: float) -> dict:
+    """Sorted real roots per m: sign changes on one grid over every window."""
+    grids = [_bound_grid(lo, hi, step) for lo, hi in windows.values()]
+    ms = np.repeat(np.array(list(windows), dtype=int), [len(g) for g in grids])
+    ks = np.concatenate(grids)
+    g = _matching(pot, ms, ks).g.real
+    same = ms[:-1] == ms[1:]
+    exact = np.nonzero(same & (g[:-1] == 0.0))[0]
+    cross = np.nonzero(same & (g[:-1] * g[1:] < 0.0))[0]
+    polished = _polish_brackets(pot, ms[cross], ks[cross], ks[cross + 1],
+                                g[cross], g[cross + 1])
+    roots = {m: [] for m in windows}
+    for m, k in zip(ms[exact].tolist() + ms[cross].tolist(),
+                    ks[exact].tolist() + polished.tolist()):
+        roots[m].append(k)
+    return {m: sorted(r) for m, r in roots.items()}
+
+
+def _bound_roots(pot: PotentialSpec, m_values) -> dict:
+    """Real eigen-wavenumbers in (k_B, k_V) per m, checked against the census."""
+    kv = pot.k_step
+    windows = {m: (pot.k_bottom(m) + 1.0e-9, kv - 1.0e-9) for m in m_values}
+    windows = {m: (lo, hi) for m, (lo, hi) in windows.items() if hi > lo}
+    roots = {m: [] for m in m_values}
+    if not windows:
+        return roots
+    step = _SCAN_STEP_FACTOR / pot.radius
+    roots.update(_scan_bound(pot, windows, step))
+    expected = {m: count_bound_sturm(pot, m) for m in windows}
+    wrong = [m for m in windows if len(roots[m]) != expected[m]]
+    # refine the scan until the census agrees (guards against grazing roots)
+    for refine in (2, 4, 8):
+        if not wrong:
+            break
+        roots.update(_scan_bound(pot, {m: windows[m] for m in wrong}, step / refine))
+        wrong = [m for m in wrong if len(roots[m]) != expected[m]]
+    if wrong:
+        m = wrong[0]
+        raise ConvergenceError(
+            f"bound search m={m}: found {len(roots[m])}, census expects {expected[m]}")
+    return roots
+
+
 def find_bound_modes(pot: PotentialSpec, m: int) -> list[EigenMode]:
     """All real eigen-wavenumbers in (k_B, k_V), n = 1, 2, ... by increasing k.
 
     Sign changes of the real characteristic on a quarter-spacing grid are
-    bracketed and polished to relative 1e-12; the count is cross-checked
+    bracketed and polished to brentq's tolerance; the count is cross-checked
     against the Sturm census.
     """
-    kb = pot.k_bottom(m)
+    roots = _bound_roots(pot, [m])[m]
+    return _mode_records(pot, [m] * len(roots), range(1, len(roots) + 1), roots)
+
+
+def _newton(pot: PotentialSpec, m, k0, max_step: float):
+    """Damped complex Newton from every seed at once; returns (k, converged).
+
+    Per element: stop when |g|/scale <= 1e-14; step g/dg, or the secant step
+    where the derivative is zero or not finite (fail without a previous
+    iterate), clipped to ``max_step``; after a step below 1e-13 |k|, or after
+    _NEWTON_MAX_ITER steps, one more evaluation decides convergence by the
+    residual tolerance.
+    """
+    n = k0.size
+    k = k0.copy()
+    ok = np.zeros(n, dtype=bool)
+    k_prev = np.zeros(n, dtype=complex)
+    g_prev = np.full(n, np.nan, dtype=complex)
+    checking = np.zeros(n, dtype=bool)
+    todo = np.arange(n)
+    m = np.asarray(m)
+    for it in range(_NEWTON_MAX_ITER + 1):
+        if not todo.size:
+            break
+        mt = _matching(pot, m[todo], k[todo])
+        g, dg = mt.g, mt.dg
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            res = np.abs(g) / mt.scale
+            check = checking[todo] | (it == _NEWTON_MAX_ITER)
+            ok[todo[check]] = res[check] <= _RESIDUAL_TOL
+            conv = ~check & (res <= 1.0e-14)
+            ok[todo[conv]] = True
+            newton = (dg != 0) & np.isfinite(np.abs(dg))
+            kp, gp = k_prev[todo], g_prev[todo]
+            secant = ~newton & (gp == gp) & (g != gp)
+            move = ~check & ~conv & (newton | secant)
+            dk = np.where(newton, g / dg, g * (k[todo] - kp) / (g - gp))
+            big = np.abs(dk) > max_step
+            dk[big] *= max_step / np.abs(dk[big])
+        idx = todo[move]
+        k_prev[idx], g_prev[idx] = k[idx], g[move]
+        k[idx] = k[idx] - dk[move]
+        checking[idx] = np.abs(dk[move]) <= 1.0e-13 * np.abs(k[idx])
+        todo = idx
+    return k, ok
+
+
+def _resonance_roots(pot: PotentialSpec, m_values, window, max_im_k):
+    """Complex roots per m in the Re k window, and the rejected seeds."""
     kv = pot.k_step
-    if kb >= kv:
-        return []
+    lo = max(float(window[0]), kv + 1.0e-9)
+    hi = float(window[1])
+    if max_im_k is None:
+        max_im_k = 6.0 / pot.radius
+    roots = {m: [] for m in m_values}
+    diagnostics = []
+    if hi <= lo or not m_values:
+        return roots, diagnostics
     step = _SCAN_STEP_FACTOR / pot.radius
-    lo = kb + 1.0e-9
-    hi = kv - 1.0e-9
-    if hi <= lo:
-        return []
-    ks = np.arange(lo, hi, step)
-    if ks[-1] < hi:
-        ks = np.append(ks, hi)
-    vals = np.real(_char_grid_bound(pot, m, ks))
-    roots = []
-    f = lambda k: float(np.real(characteristic(pot, m, k)))
-    for i in range(len(ks) - 1):
-        if vals[i] == 0.0:
-            roots.append(ks[i])
-        elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(optimize.brentq(f, ks[i], ks[i + 1],
-                                         xtol=1e-13, rtol=8.9e-16))
-    expected = count_bound_sturm(pot, m)
-    if len(roots) != expected:
-        # halve the scan until the census agrees (guards against grazing roots)
-        for refine in (2, 4, 8):
-            ks = np.arange(lo, hi, step / refine)
-            if ks[-1] < hi:
-                ks = np.append(ks, hi)
-            vals = np.real(_char_grid_bound(pot, m, ks))
-            roots = []
-            for i in range(len(ks) - 1):
-                if vals[i] * vals[i + 1] < 0.0:
-                    roots.append(optimize.brentq(f, ks[i], ks[i + 1],
-                                                 xtol=1e-13, rtol=8.9e-16))
-            if len(roots) == expected:
-                break
-        else:
-            raise ConvergenceError(
-                f"bound search m={m}: found {len(roots)}, census expects {expected}")
-    return [_make_mode(pot, m, n + 1, complex(k)) for n, k in enumerate(sorted(roots))]
+    ks = np.arange(lo, hi + step, step)
+    ms = np.asarray(m_values, dtype=int)
+    mt = _matching(pot, np.repeat(ms, ks.size), np.tile(ks, ms.size))
+    vals = np.abs(mt.g / mt.scale).reshape(ms.size, ks.size)
+    edge = np.full((ms.size, 1), np.inf)
+    left = np.hstack([edge, vals[:, :-1]])
+    right = np.hstack([vals[:, 1:], edge])
+    rows, cols = np.nonzero((vals <= left) & (vals <= right))
+    seed_m, seeds = ms[rows], ks[cols]
+    found, ok = _newton(pot, seed_m, seeds.astype(complex), max_step=0.75 * step * 2)
+
+    for m, seed, k, good in zip(seed_m.tolist(), seeds.tolist(), found.tolist(), ok):
+        if not good:
+            diagnostics.append({"m": m, "seed": seed, "reason": "newton did not converge"})
+            continue
+        if k.imag > 0.0:
+            if k.imag < 1.0e-10 * abs(k):
+                k = complex(k.real, 0.0)
+            else:
+                diagnostics.append({"m": m, "seed": seed,
+                                    "reason": f"root on wrong half-plane {k}"})
+                continue
+        if abs(k.imag) >= abs(k.real) or abs(k.imag) > max_im_k:
+            diagnostics.append({"m": m, "seed": seed,
+                                "reason": f"overdamped root rejected {k}"})
+            continue
+        if not (lo - 1.0e-6 <= k.real <= hi + 1.0e-6):
+            continue
+        roots[m].append(k)
+
+    for m in m_values:
+        merged = []
+        for k in sorted(roots[m], key=lambda kk: kk.real):
+            if merged and abs(k - merged[-1]) < _DEDUP_TOL:
+                continue
+            merged.append(k)
+        roots[m] = merged
+    return roots, diagnostics
 
 
 def find_resonances(pot: PotentialSpec, m: int, window, n_start: int | None = None,
@@ -348,82 +511,16 @@ def find_resonances(pot: PotentialSpec, m: int, window, n_start: int | None = No
     physics and because their exterior growth exceeds the cancellation
     budget of double-precision mode sums.
     """
-    kv = pot.k_step
-    lo = max(float(window[0]), kv + 1.0e-9)
-    hi = float(window[1])
-    if max_im_k is None:
-        max_im_k = 6.0 / pot.radius
-    if hi <= lo:
+    roots, diags = _resonance_roots(pot, [m], window, max_im_k)
+    if diagnostics is not None:
+        diagnostics.extend(diags)
+    roots = roots[m]
+    if not roots:
         return []
-    step = _SCAN_STEP_FACTOR / pot.radius
-    ks = np.arange(lo, hi + step, step)
-    vals = np.abs(_char_grid_resonance(pot, m, ks))
-    seeds = []
-    for i in range(len(ks)):
-        left = vals[i - 1] if i > 0 else np.inf
-        right = vals[i + 1] if i < len(ks) - 1 else np.inf
-        if vals[i] <= left and vals[i] <= right:
-            seeds.append(ks[i])
-
-    roots = []
-    for seed in seeds:
-        k, ok = _newton_polish(pot, m, complex(seed), max_step=0.75 * step * 2)
-        if not ok:
-            if diagnostics is not None:
-                diagnostics.append({"m": m, "seed": float(seed),
-                                    "reason": "newton did not converge"})
-            continue
-        if k.imag > 0.0:
-            if k.imag < 1.0e-10 * abs(k):
-                k = complex(k.real, 0.0)
-            else:
-                if diagnostics is not None:
-                    diagnostics.append({"m": m, "seed": float(seed),
-                                        "reason": f"root on wrong half-plane {k}"})
-                continue
-        if abs(k.imag) >= abs(k.real) or abs(k.imag) > max_im_k:
-            if diagnostics is not None:
-                diagnostics.append({"m": m, "seed": float(seed),
-                                    "reason": f"overdamped root rejected {k}"})
-            continue
-        if not (lo - 1.0e-6 <= k.real <= hi + 1.0e-6):
-            continue
-        roots.append(k)
-
-    roots.sort(key=lambda kk: kk.real)
-    merged = []
-    for k in roots:
-        if merged and abs(k - merged[-1]) < _DEDUP_TOL:
-            continue
-        merged.append(k)
     if n_start is None:
         n_start = count_bound_sturm(pot, m) + 1
-    return [_make_mode(pot, m, n_start + i, k) for i, k in enumerate(merged)]
-
-
-def _newton_polish(pot: PotentialSpec, m: int, k0: complex, max_step: float,
-                   max_iter: int = 60):
-    k = complex(k0)
-    k_prev, g_prev = None, None
-    for _ in range(max_iter):
-        g, dg, scale = _g_and_deriv(pot, m, k)
-        if abs(g) / scale <= 1.0e-14:
-            return k, True
-        if dg != 0 and np.isfinite(abs(dg)):
-            dk = g / dg
-        elif k_prev is not None and g != g_prev:
-            dk = g * (k - k_prev) / (g - g_prev)
-        else:
-            return k, False
-        if abs(dk) > max_step:
-            dk *= max_step / abs(dk)
-        k_prev, g_prev = k, g
-        k = k - dk
-        if abs(dk) <= 1.0e-13 * abs(k):
-            g, _, scale = _g_and_deriv(pot, m, k)
-            return k, abs(g) / scale <= _RESIDUAL_TOL
-    g, _, scale = _g_and_deriv(pot, m, k)
-    return k, abs(g) / scale <= _RESIDUAL_TOL
+    return _mode_records(pot, [m] * len(roots), range(n_start, n_start + len(roots)),
+                         roots)
 
 
 def delta_j(mode: EigenMode, pot: PotentialSpec) -> float:
@@ -476,28 +573,22 @@ def build_mode_table(pot: PotentialSpec, m_values, resonance_k_max: float,
                      jobs: int = 1, max_im_k: float | None = None) -> ModeTable:
     """Solve bound ladders plus resonances up to Re k = resonance_k_max.
 
-    Work is parallel over m; results are merged in ascending (m, n) order so
-    the table is identical for any number of workers.
+    The whole m window is one batch (see the module docstring), and the
+    modes are bitwise equal to per-m ``find_bound_modes`` plus
+    ``find_resonances`` calls.  ``jobs`` is accepted and ignored: the solve
+    starts no threads, because its Python-level iteration holds the
+    interpreter lock, and threads over parts of the window measured no
+    faster than one.
     """
     m_values = sorted(set(int(m) for m in m_values))
-
-    def solve(m):
-        diags = []
-        bound = find_bound_modes(pot, m)
-        res = find_resonances(pot, m, (pot.k_step, resonance_k_max),
-                              n_start=len(bound) + 1, diagnostics=diags,
-                              max_im_k=max_im_k)
-        return bound + res, diags
-
-    modes, diagnostics = [], []
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for mods, diags in pool.map(solve, m_values):
-                modes.extend(mods)
-                diagnostics.extend(diags)
-    else:
-        for m in m_values:
-            mods, diags = solve(m)
-            modes.extend(mods)
-            diagnostics.extend(diags)
-    return ModeTable(pot=pot, modes=modes, diagnostics=diagnostics)
+    bound = _bound_roots(pot, m_values)
+    resonances, diagnostics = _resonance_roots(
+        pot, m_values, (pot.k_step, resonance_k_max), max_im_k)
+    ms, ns, ks = [], [], []
+    for m in m_values:
+        roots = bound[m] + resonances[m]
+        ms += [m] * len(roots)
+        ns += range(1, len(roots) + 1)
+        ks += roots
+    return ModeTable(pot=pot, modes=_mode_records(pot, ms, ns, ks),
+                     diagnostics=diagnostics)

@@ -1,14 +1,22 @@
+import hashlib
 import os
 import pickle
+from pathlib import Path
 
 import pytest
 
+import curvewave
 from curvewave.packet import PacketSpec, expand
 from curvewave.potential import PotentialSpec
 from curvewave.spectrum import build_mode_table
 
-# bump when solver or expansion conventions change; invalidates dev caches
-CACHE_VERSION = "v3"
+
+def _source_key():
+    """Hash of the package sources, so a dev cache made by other code is not reused."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(curvewave.__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()[:16]
 
 
 def _cached(name, builder):
@@ -16,7 +24,7 @@ def _cached(name, builder):
     if not cache_dir:
         return builder()
     os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"{CACHE_VERSION}_{name}.pkl")
+    path = os.path.join(cache_dir, f"{_source_key()}_{name}.pkl")
     if os.path.exists(path):
         with open(path, "rb") as f:
             return pickle.load(f)

@@ -157,3 +157,20 @@ def test_husimi_writes_gap_curves_without_crossing(tmp_path):
     for name in ("f_alpha_B.csv", "delta_alpha_B.csv"):
         lines = (tmp_path / name).read_text().splitlines()
         assert len(lines) == n_alpha + 1
+
+
+def test_modes_writes_solver_diagnostics(tmp_path, capsys):
+    # the edge of preset B's window, m = 197-203, where the seed next to the
+    # step does not converge for every m
+    assert main(["modes", "--preset", "B", "--m-min", "197", "--m-max", "203",
+                 "--out", str(tmp_path)]) == 0
+    table = load_modes(tmp_path / "modes_B.txt")
+    assert table.m_values == list(range(197, 204))
+    text = (tmp_path / "diagnostics_B.json").read_text()
+    diags = json.loads(text)
+    assert [d["m"] for d in diags] == list(range(197, 204))
+    assert all(set(d) == {"m", "seed", "reason"} for d in diags)
+    assert text == json.dumps(diags, sort_keys=True, indent=2) + "\n"
+    pot = scenarios.preset_config("B").potential
+    want = build_mode_table(pot, range(197, 204), resonance_k_max=130.0)
+    assert diags == want.diagnostics

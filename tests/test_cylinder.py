@@ -284,3 +284,38 @@ def test_eval_cylinder_surface():
         0.5 * (cylinder.bessel_j(4, 7.0) - cylinder.bessel_j(6, 7.0)), rel=1e-14)
     with pytest.raises(DomainError):
         cylinder.eval_cylinder("k", 2, 1.0 + 1.0j)
+
+
+def _mp_log_pair(fn, m, z):
+    """(log Z_m(z), Z_{m-1}(z)/Z_m(z)) at 40 digits."""
+    with mpmath.workdps(40):
+        zm = fn(m, mpmath.mpmathify(complex(z)))
+        return complex(mpmath.log(zm)), complex(fn(m - 1, mpmath.mpmathify(complex(z))) / zm)
+
+
+def _same_log(got, want):
+    # |Z_got / Z_want - 1| from logarithms, blind to the 2 pi i branch
+    return abs(np.exp(complex(got) - complex(want)) - 1.0)
+
+
+def test_recurrence_per_element_orders():
+    # one recurrence over a batch of orders 0, 1, 2 and 203, as the mode
+    # solver runs it, against the scalar scaled pairs and mpmath
+    orders = np.repeat([0, 1, 2, 203], 4)
+    x = np.tile([0.3, 5.0, 60.0, 250.0], 4)
+    ka, kb, kscale = cylinder._forward_recurrence(
+        orders, x, special.kve(0, x), special.kve(1, x), -x, 1.0)
+    z = np.tile([0.7 + 0.2j, 12.0 - 0.5j, 150.0 + 0j, 230.0 - 3.0j], 4)
+    ha, hb, hscale = cylinder._forward_recurrence(
+        orders, z, special.hankel1(0, z), special.hankel1(1, z), np.zeros(z.size), -1.0)
+    for i, m in enumerate(orders.tolist()):
+        ln_k, ratio_k = _mp_log_pair(mpmath.besselk, m, x[i])
+        pa, pb, ps = cylinder._k_pair_scaled(m, x[i])
+        for a, b, s in ((ka[i], kb[i], kscale[i]), (pa, pb, ps)):
+            assert _same_log(math.log(b) + s, ln_k) < 1e-12, (m, x[i])
+            assert a / b == pytest.approx(ratio_k.real, rel=1e-12)
+        ln_h, ratio_h = _mp_log_pair(mpmath.hankel1, m, z[i])
+        pa, pb, ps = cylinder._h_pair_scaled(m, z[i])
+        for a, b, s in ((ha[i], hb[i], hscale[i]), (pa, pb, ps)):
+            assert _same_log(np.log(complex(b)) + s, ln_h) < 1e-12, (m, z[i])
+            assert abs(a / b - ratio_h) < 1e-12 * abs(ratio_h)

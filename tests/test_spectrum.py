@@ -1,11 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import integrate, optimize, special
 
 from curvewave import spectrum
-from curvewave.errors import DomainError
+from curvewave.errors import ConvergenceError, DomainError
 from curvewave.potential import effective_potential
 from curvewave.serialization import load_modes, save_modes
 from curvewave.spectrum import (BOUND, LEAKY, TUNNELING, EigenMode,
@@ -28,15 +29,32 @@ def test_effective_potential_values(pot):
     assert pot.k_top(120) == pytest.approx(math.sqrt(13600.0), rel=1e-12)
 
 
+def raw_terms(pot, m, k):
+    """The two terms of the raw matching determinant, from scipy primitives.
+
+    J'(z) Z(w) and (q/k) J(z) Z'(w), with Z = K_m (scaled by kve) for real k
+    below the step and Z = H^(1)_m above it; the determinant is their
+    difference.
+    """
+    z = k * pot.radius
+    jp = 0.5 * (special.jv(m - 1, z) - special.jv(m + 1, z))
+    if np.imag(k) == 0 and np.real(k) < pot.k_step:
+        kap = math.sqrt(pot.k_step**2 - np.real(k)**2)
+        w = kap * pot.radius
+        kv = special.kve(m, w)
+        kvp = -0.5 * (special.kve(m - 1, w) + special.kve(m + 1, w))
+        return jp * kv, (kap / k) * special.jv(m, z) * kvp
+    q = np.sqrt(k**2 - pot.k_step**2)
+    w = q * pot.radius
+    h = special.hankel1(m, w)
+    hp = 0.5 * (special.hankel1(m - 1, w) - special.hankel1(m + 1, w))
+    return jp * h, (q / k) * special.jv(m, z) * hp
+
+
 def raw_characteristic_bound(pot, m, k):
     """Independent matching determinant straight from scipy primitives."""
-    z = k * pot.radius
-    kap = math.sqrt(pot.k_step**2 - k**2)
-    w = kap * pot.radius
-    jp = 0.5 * (special.jv(m - 1, z) - special.jv(m + 1, z))
-    kv = special.kve(m, w)
-    kvp = -0.5 * (special.kve(m - 1, w) + special.kve(m + 1, w))
-    return jp * kv - (kap / k) * special.jv(m, z) * kvp
+    a, b = raw_terms(pot, m, k)
+    return a - b
 
 
 def test_characteristic_away_from_roots(pot):
@@ -104,14 +122,20 @@ def test_resonance_gamma_monotone_towards_barrier_top(pot):
     assert gammas[-len(resolved):] == resolved
 
 
+def _g_and_deriv(pot, m, k):
+    """(g, dg/dk, scale) of the batched matching kernel at one element."""
+    mt = spectrum._matching(pot, [m], [k])
+    return mt.g[0], mt.dg[0], mt.scale[0]
+
+
 def test_newton_derivative_matches_finite_difference(pot):
     for m, k in ((120, 105.3 - 0.001j), (75, 88.2), (40, 101.7 - 0.01j)):
         dk = 1e-6
         # the analytic derivative drives the Newton polish; compare against a
         # finite difference of the unnormalized ratio-form characteristic
-        g1 = spectrum._g_and_deriv(pot, m, k + dk)[0]
-        g0 = spectrum._g_and_deriv(pot, m, k - dk)[0]
-        g, dg, scale = spectrum._g_and_deriv(pot, m, k)
+        g1 = _g_and_deriv(pot, m, k + dk)[0]
+        g0 = _g_and_deriv(pot, m, k - dk)[0]
+        g, dg, scale = _g_and_deriv(pot, m, k)
         assert dg == pytest.approx((g1 - g0) / (2 * dk), rel=1e-5)
         assert characteristic_deriv(pot, m, k) == pytest.approx(dg / scale, rel=1e-12)
 
@@ -234,3 +258,78 @@ def test_serialization_roundtrip_bit_exact(pot, tmp_path):
         assert a.klass == b.klass and a.energy == b.energy
     save_modes(tmp_path / "modes2.txt", again)
     assert (tmp_path / "modes.txt").read_bytes() == (tmp_path / "modes2.txt").read_bytes()
+
+
+def test_window_roots_satisfy_raw_determinant(pot):
+    table = spectrum.build_mode_table(pot, range(118, 123), resonance_k_max=117.0)
+    counts = table.counts()
+    assert counts[BOUND] > 50 and counts[TUNNELING] > 20
+    for mo in table.modes:
+        a, b = raw_terms(pot, mo.m, mo.k.real if mo.klass == BOUND else mo.k)
+        assert np.isfinite(a) and np.isfinite(b)
+        assert abs(a - b) <= 1e-10 * (abs(a) + abs(b)), (mo.m, mo.n, mo.k)
+
+
+def test_window_solve_equals_per_m_solves(pot):
+    m_values = [0, 1, 2, 119, 120, 121, 203]
+    diags = []
+    table = spectrum.build_mode_table(pot, m_values, resonance_k_max=112.0)
+    assert len(table.diagnostics) >= 1
+    for m in m_values:
+        bound = find_bound_modes(pot, m)
+        res = find_resonances(pot, m, (pot.k_step, 112.0), n_start=len(bound) + 1,
+                              diagnostics=diags)
+        # EigenMode equality compares every float exactly
+        assert table.by_m(m) == bound + res
+    assert table.diagnostics == diags
+
+
+def test_bound_polish_keeps_exact_zero_iterate(pot, monkeypatch):
+    # g(k) = k - 1.5; the false-position start from [1, 2.5] lands on g == 0
+    # exactly and must be returned as is.  With no usable derivative (m = 5)
+    # any further step would bisect away and never come back to 1.5 exactly;
+    # the second bracket (m = 6) polishes by Newton in the same batch
+    def fake(pot, m, k):
+        k = np.asarray(k, dtype=complex)
+        return SimpleNamespace(g=k - 1.5, dg=np.where(np.asarray(m) == 5, 0.0, 1.0) + 0j)
+
+    monkeypatch.setattr(spectrum, "_matching", fake)
+    roots = spectrum._polish_brackets(pot, np.array([5, 6]), np.array([1.0, 1.2]),
+                                      np.array([2.5, 2.0]), np.array([-0.5, -0.3]),
+                                      np.array([1.0, 0.5]))
+    assert roots[0] == 1.5
+    assert roots[1] == pytest.approx(1.5, abs=1e-13)
+
+
+def test_bound_census_refinement(pot, monkeypatch):
+    want = [mo.k for mo in find_bound_modes(pot, 75)]
+    steps = []
+    scan = spectrum._scan_bound
+
+    def spy(pot, windows, step):
+        steps.append(step)
+        return scan(pot, windows, step)
+
+    monkeypatch.setattr(spectrum, "_scan_bound", spy)
+    # a scan at twice the mode spacing misses roots until it is refined
+    monkeypatch.setattr(spectrum, "_SCAN_STEP_FACTOR", 8 * math.pi / 4.0)
+    got = [mo.k for mo in find_bound_modes(pot, 75)]
+    assert len(steps) > 1
+    assert len(got) == len(want) == count_bound_sturm(pot, 75)
+    for a, b in zip(got, want):
+        assert abs(a - b) <= 1e-13 * abs(b)
+    # refined three times and still short of the census
+    monkeypatch.setattr(spectrum, "_SCAN_STEP_FACTOR", 64 * math.pi / 4.0)
+    with pytest.raises(ConvergenceError, match="census expects"):
+        find_bound_modes(pot, 75)
+
+
+def test_kernel_matches_raw_determinant_off_axis(pot):
+    # g = (raw determinant) / Z_m(qR) at complex k, where the exterior comes
+    # from the order recurrence (Im qR > -4) or directly (Im qR < -4)
+    for m, k in ((120, 110.0 - 0.1j), (40, 101.7 - 0.01j), (120, 101.0 - 0.5j),
+                 (120, 101.0 - 2.5j), (0, 103.0 - 1.0j)):
+        w = np.sqrt(k**2 - pot.k_step**2) * pot.radius
+        a, b = raw_terms(pot, m, k)
+        g = _g_and_deriv(pot, m, k)[0]
+        assert abs(g * special.hankel1(m, w) - (a - b)) <= 1e-12 * (abs(a) + abs(b)), (m, k, w)
