@@ -57,6 +57,8 @@ _BOUND_XTOL = 1.0e-13
 _BOUND_RTOL = 8.9e-16
 _BOUND_MAX_ITER = 100
 _NEWTON_MAX_ITER = 60
+#: elements per kernel call on the scan grids; bounds the kernel's temporaries
+_GRID_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -179,6 +181,16 @@ def _matching(pot: PotentialSpec, m, k) -> _Match:
                   Z=b, log_scale=log_scale)
 
 
+def _scan(pot: PotentialSpec, m, k):
+    """(g, scale) over a long grid of (m, k) elements, in chunks of _GRID_CHUNK."""
+    g = np.empty(k.size, dtype=complex)
+    scale = np.empty(k.size)
+    for i in range(0, k.size, _GRID_CHUNK):
+        mt = _matching(pot, m[i:i + _GRID_CHUNK], k[i:i + _GRID_CHUNK])
+        g[i:i + _GRID_CHUNK], scale[i:i + _GRID_CHUNK] = mt.g, mt.scale
+    return g, scale
+
+
 def characteristic(pot: PotentialSpec, m: int, k):
     """Scaled matching determinant; zero exactly at eigen-wavenumbers.
 
@@ -299,7 +311,7 @@ def _polish_brackets(pot: PotentialSpec, m, a, b, ga, gb):
     """Real roots of g in the brackets [a_i, b_i], g(a_i) g(b_i) < 0, at once.
 
     Safeguarded Newton from the false-position point: a step that leaves its
-    bracket, or does not halve the previous one's size, is replaced by
+    bracket, or would be longer than half the previous step, is replaced by
     bisection.  Stops at brentq's tolerance; an iterate where g == 0 exactly
     is the root.
     """
@@ -352,7 +364,7 @@ def _scan_bound(pot: PotentialSpec, windows: dict, step: float) -> dict:
     grids = [_bound_grid(lo, hi, step) for lo, hi in windows.values()]
     ms = np.repeat(np.array(list(windows), dtype=int), [len(g) for g in grids])
     ks = np.concatenate(grids)
-    g = _matching(pot, ms, ks).g.real
+    g = _scan(pot, ms, ks)[0].real
     same = ms[:-1] == ms[1:]
     exact = np.nonzero(same & (g[:-1] == 0.0))[0]
     cross = np.nonzero(same & (g[:-1] * g[1:] < 0.0))[0]
@@ -458,8 +470,8 @@ def _resonance_roots(pot: PotentialSpec, m_values, window, max_im_k):
     step = _SCAN_STEP_FACTOR / pot.radius
     ks = np.arange(lo, hi + step, step)
     ms = np.asarray(m_values, dtype=int)
-    mt = _matching(pot, np.repeat(ms, ks.size), np.tile(ks, ms.size))
-    vals = np.abs(mt.g / mt.scale).reshape(ms.size, ks.size)
+    g, scale = _scan(pot, np.repeat(ms, ks.size), np.tile(ks, ms.size))
+    vals = np.abs(g / scale).reshape(ms.size, ks.size)
     edge = np.full((ms.size, 1), np.inf)
     left = np.hstack([edge, vals[:, :-1]])
     right = np.hstack([vals[:, 1:], edge])
