@@ -96,7 +96,7 @@ class _Match:
     Jp1: np.ndarray      # J_{m+1}(kR)
     rm: np.ndarray       # Z_{m-1}(qR)/Z_m(qR)
     rp: np.ndarray       # Z_{m+1}(qR)/Z_m(qR)
-    Z: np.ndarray        # Z_m(qR) = Z * exp(log_scale)
+    Z: np.ndarray        # Z_m(qR) in units of exp(log_scale)
     log_scale: np.ndarray
 
 
