@@ -119,8 +119,7 @@ def _dispatch(args) -> int:
         pot = (_config_from(args).potential if args.config or args.preset
                else PotentialSpec())
         kmax = args.kmax if args.kmax else pot.k_step + 20.0
-        table = build_mode_table(pot, [args.m], resonance_k_max=kmax,
-                                 jobs=args.jobs)
+        table = build_mode_table(pot, [args.m], resonance_k_max=kmax)
         import os
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"modes_m{args.m}.txt")

@@ -7,21 +7,25 @@ Conventions used throughout the package:
 * derivatives are always formed from the two-term recurrence
   ``Z_m' = (Z_{m-1} - Z_{m+1})/2`` (K: ``K_m' = -(K_{m-1}+K_{m+1})/2``),
   never from finite differences,
-* the deep-evanescent regime (|z| well below the order), where raw values
-  overflow double precision, is served by exponentially-scaled paths:
-  ``ln_bessel_k``, ``hankel1_scaled`` and the ``*_logderiv`` /
-  ``*_order_ratios`` helpers.  Those are exact scaled forward recurrences
-  seeded in the representable region, so no asymptotic series is involved.
-* the array ratios ``bessel_k_ratio_array`` and ``hankel1_ratio_array``
-  (the exterior tails of the mode profiles) always take one scaled forward
-  recurrence in the order, seeded by ``kve``/``hankel1`` at orders 0 and 1,
-  over a whole (rows x points) block with each row's reference argument as
-  one more column.  A direct large-order AMOS value costs several
-  microseconds a point (D. E. Amos, ACM TOMS 12, 265 (1986)); the two seeds
-  plus m elementwise steps cost a fraction of that.  The recurrence is stable
-  for K and, on and above the real axis, for H^(1) (W. Gautschi, SIAM Rev. 9,
-  24 (1967)); far below the axis H^(1) turns minimal under the turning point,
-  and there the direct value is used (see ``hankel1_ratio_array``).
+* the exterior functions K_m and H^(1)_m, whose raw values overflow double
+  precision in the deep-evanescent regime (|z| well below the order), come
+  as the pair (Z_{m-1}, Z_m) with a log scale from one private batched
+  function, ``_exterior_pairs``, over elements of any orders.  It runs one
+  scaled forward recurrence in the order, seeded by ``kve``/``hankel1`` at
+  orders 0 and 1, so no asymptotic series is involved.  A direct
+  large-order AMOS value costs several microseconds a point (D. E. Amos,
+  ACM TOMS 12, 265 (1986)); the two seeds plus m elementwise steps cost a
+  fraction of that.  The recurrence is stable for K and, on and above the
+  real axis, for H^(1) (W. Gautschi, SIAM Rev. 9, 24 (1967)).  Far below the
+  axis H^(1) turns minimal under the turning point, so there is one rule:
+  where Im z < -4, H^(1) is taken directly at orders m-1 and m when both are
+  finite, and the recurrence value is kept where they overflow.
+* everything exterior is built on that pair: ``bessel_k_logderiv``,
+  ``hankel1_logderiv`` and ``hankel1_scaled`` are one-element calls, the
+  array ratios ``bessel_k_ratio_array`` and ``hankel1_ratio_array`` (the
+  exterior tails of the mode profiles) one call over a (rows x points)
+  block with each row's reference argument as one more column, and the
+  mode solver's matching kernel one call over its (m, k) elements.
 """
 
 from __future__ import annotations
@@ -69,6 +73,20 @@ def _check_argument(m, z):
     return z
 
 
+def _check_hankel_argument(m, z):
+    z = _check_argument(m, z)
+    if np.any(z == 0):
+        raise SingularArgumentError(f"H^(1)_{m} is singular at z = 0")
+    return z
+
+
+def _check_k_argument(m, x) -> float:
+    x = float(x)
+    if not math.isfinite(x) or x <= 0.0:
+        raise DomainError(f"K_{m} requires x > 0, got {x!r}")
+    return x
+
+
 def _scalar_like(z, values):
     if np.ndim(z) == 0:
         return complex(values)
@@ -104,9 +122,7 @@ def bessel_j_deriv(m: int, z) -> complex:
 def hankel1(m: int, z) -> complex:
     """Hankel function of the first kind H^(1)_m(z); decays for Im z > 0."""
     m = _check_order(m)
-    z = _check_argument(m, z)
-    if np.any(z == 0):
-        raise SingularArgumentError(f"H^(1)_{m} is singular at z = 0")
+    z = _check_hankel_argument(m, z)
     out = special.hankel1(m, z)
     if not np.all(np.isfinite(out)):
         raise RangeError(f"H^(1)_{m} overflowed at argument {z!r}; "
@@ -117,9 +133,7 @@ def hankel1(m: int, z) -> complex:
 def hankel1_deriv(m: int, z) -> complex:
     """H^(1)_m'(z) from the recurrence (H_{m-1} - H_{m+1})/2."""
     m = _check_order(m)
-    z = _check_argument(m, z)
-    if np.any(z == 0):
-        raise SingularArgumentError(f"H^(1)_{m} is singular at z = 0")
+    z = _check_hankel_argument(m, z)
     hm1 = _signed_order(m - 1, z, special.hankel1)
     hp1 = special.hankel1(m + 1, z)
     return _scalar_like(z, 0.5 * (hm1 - hp1))
@@ -128,21 +142,17 @@ def hankel1_deriv(m: int, z) -> complex:
 def bessel_k(m: int, x: float) -> float:
     """Modified Bessel function K_m(x), real positive argument only."""
     m = _check_order(m)
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"K_{m} requires x > 0, got {x!r}")
+    x = _check_k_argument(m, x)
     out = special.kv(m, x)
     if not math.isfinite(out):
-        raise RangeError(f"K_{m}({x}) overflows double range; use ln_bessel_k")
+        raise RangeError(f"K_{m}({x}) overflows double range; use bessel_k_logderiv")
     return float(out)
 
 
 def bessel_k_deriv(m: int, x: float) -> float:
     """K_m'(x) = -(K_{m-1}(x) + K_{m+1}(x))/2."""
     m = _check_order(m)
-    x = float(x)
-    if x <= 0.0:
-        raise DomainError(f"K_{m}' requires x > 0, got {x!r}")
+    x = _check_k_argument(m, x)
     return float(-0.5 * (special.kv(abs(m - 1), x) + special.kv(m + 1, x)))
 
 
@@ -167,142 +177,22 @@ def eval_cylinder(kind: str, m: int, z) -> CylinderEval:
 
 
 # ---------------------------------------------------------------------------
-# exponentially scaled paths for the deep-evanescent regime
+# the exterior pair: one scaled forward recurrence in the order
 # ---------------------------------------------------------------------------
 
-def _k_pair_scaled(m: int, x: float):
-    """Return (K_{m-1}, K_m, log_scale): true K = value * exp(log_scale).
-
-    Scaled forward recurrence seeded from kve at orders 0, 1; forward
-    recurrence is stable for K (dominant in increasing order).
-    """
-    # kve(m, x) = K_m(x) e^x, O(1) at orders 0 and 1 for any x > 0
-    a = float(special.kve(0, x))
-    b = float(special.kve(1, x))
-    scale = -x
-    if m == 0:
-        return b, a, scale      # K_{-1} = K_1
-    if m == 1:
-        return a, b, scale
-    for mu in range(1, m):
-        a, b = b, (2.0 * mu / x) * b + a
-        if abs(b) > _RESCALE:
-            a /= b
-            scale += math.log(abs(b))
-            b = math.copysign(1.0, b)
-    return a, b, scale
-
-
-def ln_bessel_k(m: int, x: float) -> float:
-    """log K_m(x), valid far beyond the overflow range of K itself."""
-    m = _check_order(m)
-    x = float(x)
-    if x <= 0.0:
-        raise DomainError(f"ln K_{m} requires x > 0, got {x!r}")
-    _, b, scale = _k_pair_scaled(m, x)
-    return math.log(b) + scale
-
-
-def bessel_k_logderiv(m: int, x: float) -> float:
-    """K_m'(x)/K_m(x), overflow-safe for any order."""
-    m = _check_order(m)
-    x = float(x)
-    if x <= 0.0:
-        raise DomainError(f"x > 0 required, got {x!r}")
-    a, b, _ = _k_pair_scaled(m, x)
-    # K_{m+1} = (2m/x) K_m + K_{m-1}
-    kp1 = (2.0 * m / x) * b + a
-    return -0.5 * (a + kp1) / b
-
-
-def bessel_k_order_ratios(m: int, x: float):
-    """(K_{m-1}/K_m, K_{m+1}/K_m), overflow-safe."""
-    m = _check_order(m)
-    x = float(x)
-    if x <= 0.0:
-        raise DomainError(f"x > 0 required, got {x!r}")
-    a, b, _ = _k_pair_scaled(m, x)
-    return a / b, (2.0 * m / x) + a / b
-
-
-def _h_pair_scaled(m: int, z: complex):
-    """Return (H_{m-1}, H_m, log_scale) for H^(1); true H = value * exp(scale).
-
-    Direct evaluation when representable; otherwise a scaled forward
-    recurrence seeded at orders around |z| where H^(1) is O(1).  Forward
-    recurrence in the order is stable for H^(1) (dominant solution).
-    """
-    z = complex(z)
-    if z == 0:
-        raise SingularArgumentError("H^(1) is singular at z = 0")
-    hm = special.hankel1(m, z)
-    hm1 = special.hankel1(1, z) * -1.0 if m == 0 else special.hankel1(m - 1, z)
-    if np.isfinite(hm) and np.isfinite(hm1) and hm != 0:
-        return complex(hm1), complex(hm), 0.0
-    mu0 = max(0, min(m - 1, int(abs(z))))
-    a = complex(special.hankel1(mu0, z))
-    b = complex(special.hankel1(mu0 + 1, z))
-    scale = 0.0
-    for mu in range(mu0 + 1, m):
-        a, b = b, (2.0 * mu / z) * b - a
-        if abs(b) > _RESCALE:
-            a /= abs(b)
-            scale += math.log(abs(b))
-            b /= abs(b)
-    return a, b, scale
-
-
-def hankel1_scaled(m: int, z):
-    """(value, log_scale) with H^(1)_m(z) = value * exp(log_scale).
-
-    Keeps large orders representable: |value| is O(1)-bounded while
-    ``log_scale`` carries the exponential growth of the evanescent regime.
-    """
-    m = _check_order(m)
-    z = complex(_check_argument(m, np.asarray(z, dtype=complex)))
-    _, b, scale = _h_pair_scaled(m, z)
-    return b, scale
-
-
-def hankel1_logderiv(m: int, z) -> complex:
-    """H^(1)_m'(z)/H^(1)_m(z), overflow-safe for any order."""
-    m = _check_order(m)
-    z = complex(z)
-    a, b, _ = _h_pair_scaled(m, z)
-    hp1 = (2.0 * m / z) * b - a
-    return 0.5 * (a - hp1) / b
-
-
-def hankel1_order_ratios(m: int, z):
-    """(H_{m-1}/H_m, H_{m+1}/H_m) for H^(1), overflow-safe."""
-    m = _check_order(m)
-    z = complex(z)
-    a, b, _ = _h_pair_scaled(m, z)
-    return a / b, (2.0 * m / z) - a / b
-
-
-def _with_ref_column(z, z_ref):
-    """(rows, P+1) array: ``z`` as rows of P points, each row's ``z_ref`` last."""
-    ref = np.asarray(z_ref, dtype=z.dtype)
-    return np.concatenate([z.reshape(ref.size, -1), ref.reshape(-1, 1)], axis=1)
-
-
 def _forward_recurrence(m, z, a, b, scale, sign: float):
-    """(Z_{m-1}, Z_m, scale) at every element of ``z``, from Z_0 and Z_1.
+    """(Z_{m-1}, Z_m, scale) at every element of the 1-D ``z``, from Z_0 and Z_1.
 
     ``a``, ``b`` are Z_0, Z_1 in units of exp(``scale``) and
-    Z_{mu+1} = (2 mu/z) Z_mu + sign Z_{mu-1}; Z_{-1} = sign Z_1.  ``m`` is
-    one order for every element, or one order per entry of the first axis
-    of ``z``, sorted ascending: the recurrence then runs on a shrinking
-    slice, and the rows whose order it has reached leave with their pair.
-    An element whose value passes _RESCALE is divided by its magnitude, the
-    log going into its scale.  Every element goes through the same
-    elementwise operations, so its result does not depend on the array it
-    sits in.
+    Z_{mu+1} = (2 mu/z) Z_mu + sign Z_{mu-1}; Z_{-1} = sign Z_1.  ``m`` holds
+    one order per element, sorted ascending: the recurrence runs on a
+    shrinking slice, and the elements whose order it has reached leave with
+    their pair.  An element whose value passes _RESCALE is divided by its
+    magnitude, the log going into its scale.
     """
-    orders = np.broadcast_to(np.asarray(m, dtype=int), z.shape[:1])
+    orders = np.asarray(m, dtype=int)
     top = int(orders[-1]) if orders.size else 0
-    # ends[mu]: number of leading rows whose order is <= mu
+    # ends[mu]: number of leading elements whose order is <= mu
     ends = np.searchsorted(orders, np.arange(top + 1), side="right")
     lower, value, out_scale = np.empty_like(a), np.empty_like(b), np.empty_like(scale)
     lower[:ends[0]] = sign * b[:ends[0]]
@@ -337,55 +227,121 @@ def _forward_recurrence(m, z, a, b, scale, sign: float):
     return lower, value, out_scale
 
 
-def _ratio_to_ref(value, scale, shape):
-    """Each row over its last column, from (value, log scale) pairs."""
+#: below this Im z H^(1) is taken directly (see _exterior_pairs); the forward
+#: recurrence's rounding error there grows like e^{2 |Im z|} * eps
+_FORWARD_MIN_IMAG = -4.0
+
+
+def _exterior_pairs(m, z, evanescent):
+    """(Z_{m-1}, Z_m, log scale) at every element; Z = value * exp(log scale).
+
+    Z is K_m(Re z) where ``evanescent`` is set and H^(1)_m(z) elsewhere;
+    ``m`` and ``evanescent`` broadcast against the 1-D ``z``.  Where
+    Im z < _FORWARD_MIN_IMAG, H^(1) is taken directly at orders m-1 and m
+    when both are finite.  Every other element takes one scaled forward
+    recurrence per kind over its elements sorted by order, seeded by
+    kve e^{-x} (K) or hankel1 (H^(1)) at orders 0 and 1.  Every element
+    goes through the same elementwise operations, so its result does not
+    depend on the batch it sits in.
+    """
+    z = np.asarray(z, dtype=complex)
+    m = np.broadcast_to(np.asarray(m, dtype=int), z.shape)
+    evanescent = np.broadcast_to(evanescent, z.shape)
+    lower = np.empty(z.shape, dtype=complex)
+    value = np.empty(z.shape, dtype=complex)
+    scale = np.empty(z.shape)
+    by_order = np.argsort(m, kind="stable")
+    k_idx, h_idx = by_order[evanescent[by_order]], by_order[~evanescent[by_order]]
+    x = z.real[k_idx]
+    lower[k_idx], value[k_idx], scale[k_idx] = _forward_recurrence(
+        m[k_idx], x, special.kve(0, x), special.kve(1, x), -x, 1.0)
+    zh = z[h_idx]
+    direct = zh.imag < _FORWARD_MIN_IMAG
+    if np.any(direct):
+        idx = h_idx[direct]
+        with np.errstate(over="ignore", invalid="ignore"):
+            h_m1 = special.hankel1(np.abs(m[idx] - 1), zh[direct])
+            h_m = special.hankel1(m[idx], zh[direct])
+        h_m1[m[idx] == 0] *= -1.0      # H_{-1} = -H_1
+        ok = np.isfinite(h_m1) & np.isfinite(h_m)
+        lower[idx[ok]], value[idx[ok]], scale[idx[ok]] = h_m1[ok], h_m[ok], 0.0
+        direct[direct] = ok            # an overflowing pair stays with the recurrence
+        h_idx, zh = h_idx[~direct], zh[~direct]
+    lower[h_idx], value[h_idx], scale[h_idx] = _forward_recurrence(
+        m[h_idx], zh, special.hankel1(0, zh), special.hankel1(1, zh),
+        np.zeros(zh.size), -1.0)
+    return lower, value, scale
+
+
+def bessel_k_logderiv(m: int, x: float) -> float:
+    """K_m'(x)/K_m(x), overflow-safe for any order."""
+    m = _check_order(m)
+    x = _check_k_argument(m, x)
+    a, b, _ = _exterior_pairs(m, [x], True)
+    a, b = a[0].real, b[0].real
+    # K_{m+1} = (2m/x) K_m + K_{m-1}
+    kp1 = (2.0 * m / x) * b + a
+    return float(-0.5 * (a + kp1) / b)
+
+
+def hankel1_scaled(m: int, z):
+    """(value, log_scale) with H^(1)_m(z) = value * exp(log_scale).
+
+    Keeps large orders representable: ``log_scale`` carries the exponential
+    growth of the evanescent regime.
+    """
+    m = _check_order(m)
+    z = complex(_check_hankel_argument(m, z))
+    _, b, scale = _exterior_pairs(m, [z], False)
+    return complex(b[0]), float(scale[0])
+
+
+def hankel1_logderiv(m: int, z) -> complex:
+    """H^(1)_m'(z)/H^(1)_m(z), overflow-safe for any order."""
+    m = _check_order(m)
+    z = complex(_check_hankel_argument(m, z))
+    a, b, _ = _exterior_pairs(m, [z], False)
+    a, b = complex(a[0]), complex(b[0])
+    hp1 = (2.0 * m / z) * b - a
+    return 0.5 * (a - hp1) / b
+
+
+def _ratio_array(m: int, z, z_ref, evanescent: bool):
+    """Z_m(z)/Z_m(z_ref) by rows: each row of ``z`` over its own ``z_ref``.
+
+    Each row's reference argument goes into the same exterior-pair batch as
+    one more column.
+    """
+    ref = np.asarray(z_ref, dtype=z.dtype)
+    cols = np.concatenate([z.reshape(ref.size, -1), ref.reshape(-1, 1)], axis=1)
+    _, value, scale = _exterior_pairs(m, cols.ravel(), evanescent)
+    if evanescent:
+        value = value.real
+    value, scale = value.reshape(cols.shape), scale.reshape(cols.shape)
     with np.errstate(under="ignore"):
         out = (value[:, :-1] / value[:, -1:]) * np.exp(scale[:, :-1] - scale[:, -1:])
-    return out.reshape(shape)
+    return out.reshape(z.shape)
 
 
 def bessel_k_ratio_array(m: int, x, x_ref):
     """K_m(x)/K_m(x_ref) for x > 0, overflow/underflow-safe.
 
     ``x`` is (P,) with a scalar ``x_ref``, or (rows, P) with one ``x_ref``
-    per row.  One scaled forward recurrence from kve at orders 0 and 1
-    (K_m = kve e^{-x}); it is stable for K, the dominant solution.
+    per row.  The forward recurrence is stable for K, the dominant solution.
     """
     m = _check_order(m)
-    x = np.asarray(x, dtype=float)
-    cols = _with_ref_column(x, x_ref)
-    _, value, scale = _forward_recurrence(m, cols, special.kve(0, cols),
-                                          special.kve(1, cols), -cols, 1.0)
-    return _ratio_to_ref(value, scale, x.shape)
-
-
-#: below this Im z the forward recurrence for H^(1) is not used (see
-#: hankel1_ratio_array); its rounding error grows like e^{2 |Im z|} * eps
-_FORWARD_MIN_IMAG = -4.0
+    return _ratio_array(m, np.asarray(x, dtype=float), x_ref, True)
 
 
 def hankel1_ratio_array(m: int, z, z_ref):
     """H^(1)_m(z)/H^(1)_m(z_ref) for z != 0, overflow-safe.
 
     ``z`` is (P,) with a scalar ``z_ref``, or (rows, P) with one ``z_ref``
-    per row.  One scaled forward recurrence from H^(1)_0 and H^(1)_1, which
-    is stable on and above the real axis: H^(1) is dominant where it grows
-    (m > |z|) and neutral where it oscillates.  Below the axis, under the
-    turning point, H^(1) decays in the order while H^(2) grows, so rounding
-    is amplified by up to e^{2 |Im z|}; there (Im z < _FORWARD_MIN_IMAG) the
-    direct value is taken instead, unless it overflows.
+    per row.  The forward recurrence is stable on and above the real axis:
+    H^(1) is dominant where it grows (m > |z|) and neutral where it
+    oscillates.  Below the axis, under the turning point, H^(1) decays in
+    the order while H^(2) grows, so rounding is amplified by up to
+    e^{2 |Im z|}; there the direct value is used (see ``_exterior_pairs``).
     """
     m = _check_order(m)
-    z = np.asarray(z, dtype=complex)
-    cols = _with_ref_column(z, z_ref)
-    _, value, scale = _forward_recurrence(m, cols, special.hankel1(0, cols),
-                                          special.hankel1(1, cols),
-                                          np.zeros(cols.shape), -1.0)
-    low = cols.imag < _FORWARD_MIN_IMAG
-    if np.any(low):
-        with np.errstate(over="ignore", invalid="ignore"):
-            direct = special.hankel1(m, cols[low])
-        ok = np.isfinite(direct)
-        value[low] = np.where(ok, direct, value[low])
-        scale[low] = np.where(ok, 0.0, scale[low])
-    return _ratio_to_ref(value, scale, z.shape)
+    return _ratio_array(m, np.asarray(z, dtype=complex), z_ref, False)

@@ -423,13 +423,14 @@ def delta_predicted(expansion, table, pot: PotentialSpec) -> float:
     """
     by_id = {(mo.m, mo.n): mo for mo in table.modes}
     num = den = 0.0
-    for e in expansion.entries():
-        if e.klass != TUNNELING:
+    for m, n, coeff, klass in zip(expansion.m.tolist(), expansion.n.tolist(),
+                                  expansion.coeff.tolist(), expansion.klass.tolist()):
+        if klass != TUNNELING:
             continue
-        mo = by_id[(e.m, e.n)]
+        mo = by_id[(m, n)]
         if mo.energy.real <= pot.v0:
             continue
-        w = abs(e.coeff) ** 2 * mo.gamma
+        w = abs(coeff) ** 2 * mo.gamma
         num += w * delta_j(mo, pot)
         den += w
     if den == 0.0:

@@ -117,15 +117,6 @@ def gaussian_free(spec: PacketSpec, xy, t) -> complex:
     return complex(out[0]) if scalar else out.reshape(xy.shape[:-1])
 
 
-@dataclass(frozen=True)
-class ExpansionEntry:
-    m: int
-    n: int
-    branch: int
-    coeff: complex
-    klass: str
-
-
 #: expansion coefficients are stored in the orthonormal-basis convention;
 #: truncation thresholds are quoted for the radial overlap amplitude
 #: |coeff|/sqrt(2 pi) (the convention behind the reference mode counts).
@@ -150,11 +141,6 @@ class Expansion:
 
     def __len__(self):
         return len(self.coeff)
-
-    def entries(self):
-        return [ExpansionEntry(int(m), int(n), int(b), complex(c), str(kl))
-                for m, n, b, c, kl in zip(self.m, self.n, self.branch,
-                                          self.coeff, self.klass)]
 
     def mode_ids(self):
         """Distinct (m, n) pairs present, in table order."""
@@ -392,19 +378,13 @@ def _check_coverage(exp: Expansion, table: ModeTable, threshold: float):
     if res_k:
         k_hi = max(res_k)
         spacing = np.pi / table.pot.radius
-        near = np.array([(kl != BOUND) and
-                         (k_hi - _k_of(exp, table, i) <= spacing)
-                         for i, kl in enumerate(exp.klass)])
+        k_of = {(mo.m, mo.n): mo.k.real for mo in table.modes}
+        k_re = np.array([k_of.get(mn, -np.inf)
+                         for mn in zip(exp.m.tolist(), exp.n.tolist())])
+        near = (exp.klass != BOUND) & (k_hi - k_re <= spacing)
         if np.any(near) and np.max(np.abs(exp.coeff[near])) >= threshold:
             raise CoverageError(
                 f"mode table too narrow at the resonance k edge ({k_hi:.3f})")
-
-
-def _k_of(exp: Expansion, table: ModeTable, i: int) -> float:
-    for mo in table.by_m(int(exp.m[i])):
-        if mo.n == int(exp.n[i]):
-            return mo.k.real
-    return -np.inf
 
 
 @dataclass

@@ -91,9 +91,10 @@ def save_expansion(path, expansion, packet) -> None:
         f.write(f"{EXPANSION_MAGIC} m0={fmt(packet.m0)} k0={fmt(packet.k0)} "
                 f"sigma={fmt(packet.sigma)} threshold={fmt(expansion.threshold)}\n")
         f.write("# m n branch re_coeff im_coeff class\n")
-        for e in expansion.entries():
-            f.write(f"{e.m} {e.n} {e.branch:+d} {fmt(e.coeff.real)} "
-                    f"{fmt(e.coeff.imag)} {e.klass}\n")
+        for m, n, branch, coeff, klass in zip(
+                expansion.m.tolist(), expansion.n.tolist(), expansion.branch.tolist(),
+                expansion.coeff.tolist(), expansion.klass.tolist()):
+            f.write(f"{m} {n} {branch:+d} {fmt(coeff.real)} {fmt(coeff.imag)} {klass}\n")
 
 
 def save_field_binary(path, values, x_origin, y_origin, dx, dy, time) -> None:

@@ -11,9 +11,8 @@ All of it runs on one array kernel, ``_matching``, over elements (m_i, k_i)
 with any mix of orders.  The interior takes J_{m-1} and J_m from ``jv`` and
 J_{m+1} from the three-term relation, which is stable here because kR >= m
 (to within a few orders) on every search path.  The exterior pair
-(Z_{m-1}, Z_m) comes from one scaled forward recurrence in the order with
-per-element orders (``cylinder._forward_recurrence``); H^(1) far below the
-real axis is taken directly, as in ``cylinder.hankel1_ratio_array``.
+(Z_{m-1}, Z_m) comes from ``cylinder._exterior_pairs`` in one call over all
+elements, K and H^(1) mixed.
 
 ``build_mode_table`` solves a whole m window as one batch:
 
@@ -108,32 +107,6 @@ def _jv(order, z, real):
     return out
 
 
-def _exterior_pair(m, w, below):
-    """(Z_{m-1}, Z_m, log scale): K_m(Re w) where ``below``, else H^(1)_m(w).
-
-    One scaled forward recurrence per kind over all its elements, sorted by
-    order.  H^(1) below Im w = cylinder._FORWARD_MIN_IMAG, where the
-    recurrence amplifies rounding, is taken directly (the scaled scalar path
-    where that overflows).
-    """
-    a = np.empty(w.shape, dtype=complex)
-    b = np.empty(w.shape, dtype=complex)
-    scale = np.empty(w.shape)
-    by_order = np.argsort(m, kind="stable")
-    k_idx, h_idx = by_order[below[by_order]], by_order[~below[by_order]]
-    x = w[k_idx].real
-    a[k_idx], b[k_idx], scale[k_idx] = cylinder._forward_recurrence(
-        m[k_idx], x, special.kve(0, x), special.kve(1, x), -x, 1.0)
-    wh = w[h_idx]
-    pa, pb, ps = cylinder._forward_recurrence(
-        m[h_idx], wh, special.hankel1(0, wh), special.hankel1(1, wh),
-        np.zeros(h_idx.size), -1.0)
-    for i in np.nonzero(wh.imag < cylinder._FORWARD_MIN_IMAG)[0]:
-        pa[i], pb[i], ps[i] = cylinder._h_pair_scaled(int(m[h_idx[i]]), complex(wh[i]))
-    a[h_idx], b[h_idx], scale[h_idx] = pa, pb, ps
-    return a, b, scale
-
-
 def _matching(pot: PotentialSpec, m, k) -> _Match:
     """Scaled characteristic g(k) = J'(z) - (q/k) J(z) S(w), dg/dk and parts.
 
@@ -161,7 +134,7 @@ def _matching(pot: PotentialSpec, m, k) -> _Match:
         Jp = 0.5 * (Jm1 - Jp1)
         Jpp = -(1.0 - m * m / (z * z)) * J - Jp / z
 
-        a, b, log_scale = _exterior_pair(m, w, below)
+        a, b, log_scale = cylinder._exterior_pairs(m, w, below)
         # Z_{m+1} = (2m/w) Z_m + sgn Z_{m-1}: sgn = +1 for K, -1 for H^(1)
         sgn = np.where(below, 1.0, -1.0)
         rm = a / b
@@ -277,34 +250,34 @@ def mode_norm(mode: EigenMode, pot: PotentialSpec) -> complex:
     return norm
 
 
-def count_bound_sturm(pot: PotentialSpec, m: int) -> int:
-    """Independent bound-mode count from J_m oscillation theory.
+def _sturm_census(pot: PotentialSpec, m_values) -> dict:
+    """Bound-mode count per m from J_m oscillation theory.
 
     One eigenvalue sits in each interval between consecutive zeros of
     J_m(kR) below kR = k_V R (the interior log-derivative sweeps from +inf
     to -inf across each), plus one in the final partial interval iff the
-    interior log-derivative has already dropped below the exterior one.
+    interior log-derivative k J'/J has already dropped below the exterior
+    one kappa K'/K there, that is iff g J < 0 at its end.  The zeros come
+    from ``jn_zeros``, independent of the root search; the final-interval
+    test is one kernel call over every m.
     """
     kv = pot.k_step
-    kb = pot.k_bottom(m)
-    if kb >= kv:
-        return 0
-    zmax = kv * pot.radius
-    if m == 0:
-        nt = int(zmax / np.pi) + 2
-    else:
-        nt = max(1, int((zmax - m) / np.pi) + 3)
-    zeros = special.jn_zeros(m, nt)
-    s = int(np.sum(zeros < zmax))
+    counts = dict.fromkeys(m_values, 0)
+    ms = [m for m in counts if pot.k_bottom(m) < kv]
+    if not ms:
+        return counts
     k_end = kv * (1.0 - 1.0e-12) if kv * 1.0e-12 > 1e-9 else kv - 1.0e-9
-    z = k_end * pot.radius
-    J = special.jv(m, z)
-    Jp = 0.5 * ((special.jv(m - 1, z) if m >= 1 else -special.jv(1, z))
-                - special.jv(m + 1, z))
-    mu = k_end * Jp / J
-    kap = math.sqrt(kv**2 - k_end**2)
-    nu = kap * cylinder.bessel_k_logderiv(m, kap * pot.radius)
-    return s + (1 if mu < nu else 0)
+    mt = _matching(pot, ms, np.full(len(ms), k_end))
+    zmax = kv * pot.radius
+    for m, last in zip(ms, (mt.g.real * mt.J.real < 0.0).tolist()):
+        nt = int(zmax / np.pi) + 2 if m == 0 else max(1, int((zmax - m) / np.pi) + 3)
+        counts[m] = int(np.sum(special.jn_zeros(m, nt) < zmax)) + last
+    return counts
+
+
+def count_bound_sturm(pot: PotentialSpec, m: int) -> int:
+    """Independent bound-mode count of one m (see ``_sturm_census``)."""
+    return _sturm_census(pot, [m])[m]
 
 
 def _polish_brackets(pot: PotentialSpec, m, a, b, ga, gb):
@@ -387,7 +360,7 @@ def _bound_roots(pot: PotentialSpec, m_values) -> dict:
         return roots
     step = _SCAN_STEP_FACTOR / pot.radius
     roots.update(_scan_bound(pot, windows, step))
-    expected = {m: count_bound_sturm(pot, m) for m in windows}
+    expected = _sturm_census(pot, windows)
     wrong = [m for m in windows if len(roots[m]) != expected[m]]
     # refine the scan until the census agrees (guards against grazing roots)
     for refine in (2, 4, 8):
@@ -587,7 +560,8 @@ def build_mode_table(pot: PotentialSpec, m_values, resonance_k_max: float,
 
     The whole m window is one batch (see the module docstring), and the
     modes are bitwise equal to per-m ``find_bound_modes`` plus
-    ``find_resonances`` calls.  ``jobs`` is accepted and ignored: the solve
+    ``find_resonances`` calls.  ``jobs`` is ignored and remains only because
+    the benchmark harness (``perfbench/sample.py``) passes it: the solve
     starts no threads, because its Python-level iteration holds the
     interpreter lock, and threads over parts of the window measured no
     faster than one.

@@ -146,20 +146,26 @@ def test_large_order_scaled_paths():
     # deep-evanescent regime: finite log magnitude where the raw value overflows
     val, scale = cylinder.hankel1_scaled(200, 2.0)
     assert np.isfinite(abs(val)) and scale > 400.0
-    assert cylinder.ln_bessel_k(200, 0.5) > 700.0
-    assert cylinder.ln_bessel_k(3, 2.0) == pytest.approx(
-        math.log(cylinder.bessel_k(3, 2.0)), rel=1e-12)
+
+
+def _mp_logderiv(fn, sign, m, z):
+    """Z_m'/Z_m at 40 digits, Z_m' = (sign Z_{m-1} - Z_{m+1})/2: sign +1 for
+    H^(1), -1 for K."""
+    with mpmath.workdps(40):
+        z = mpmath.mpmathify(complex(z))
+        return complex(0.5 * (sign * fn(m - 1, z) - fn(m + 1, z)) / fn(m, z))
 
 
 def test_logderiv_and_ratios_consistency():
-    for m, x in [(10, 3.0), (120, 87.2), (200, 1.0)]:
-        s = cylinder.bessel_k_logderiv(m, x)
-        rm, rp = cylinder.bessel_k_order_ratios(m, x)
-        assert -0.5 * (rm + rp) == pytest.approx(s, rel=1e-10)
-    for m, z in [(10, 3.0 + 0j), (120, 105.2 - 1e-5j), (150, 4.0 + 0j)]:
-        s = cylinder.hankel1_logderiv(m, z)
-        rm, rp = cylinder.hankel1_order_ratios(m, z)
-        assert 0.5 * (rm - rp) == pytest.approx(s, rel=1e-9)
+    # both log-derivatives against mpmath, at small and large orders and
+    # where the raw values overflow (m = 200 at x = 1 and z = 4)
+    for m, x in [(0, 3.0), (1, 0.4), (120, 87.2), (200, 1.0)]:
+        want = _mp_logderiv(mpmath.besselk, -1.0, m, x).real
+        assert cylinder.bessel_k_logderiv(m, x) == pytest.approx(want, rel=1e-13)
+    for m, z in [(0, 3.0 + 0.5j), (1, 0.7 - 0.2j), (120, 105.2 - 1e-5j),
+                 (200, 4.0 + 0j)]:
+        want = _mp_logderiv(mpmath.hankel1, 1.0, m, z)
+        assert abs(cylinder.hankel1_logderiv(m, z) - want) <= 1e-13 * abs(want)
 
 
 def test_ratio_arrays_match_direct():
@@ -275,6 +281,19 @@ def test_domain_and_range_errors():
     assert "10" in str(err.value)
     with pytest.raises(RangeError):
         cylinder.bessel_j(0, 2.0e4)
+    # the log-derivatives validate as bessel_k and hankel1_scaled do
+    for fn, bad in ((cylinder.hankel1_logderiv, math.nan),
+                    (cylinder.bessel_k_logderiv, math.nan),
+                    (cylinder.bessel_k_logderiv, math.inf),
+                    (cylinder.bessel_k_deriv, math.nan),
+                    (cylinder.bessel_k_deriv, math.inf)):
+        with pytest.raises(DomainError):
+            fn(3, bad)
+    for bad in (2.0e4, 1.0 - 800.0j):
+        with pytest.raises(RangeError):
+            cylinder.hankel1_logderiv(3, bad)
+    with pytest.raises(SingularArgumentError):
+        cylinder.hankel1_logderiv(3, 0.0)
 
 
 def test_eval_cylinder_surface():
@@ -300,7 +319,7 @@ def _same_log(got, want):
 
 def test_recurrence_per_element_orders():
     # one recurrence over a batch of orders 0, 1, 2 and 203, as the mode
-    # solver runs it, against the scalar scaled pairs and mpmath
+    # solver runs it, against mpmath
     orders = np.repeat([0, 1, 2, 203], 4)
     x = np.tile([0.3, 5.0, 60.0, 250.0], 4)
     ka, kb, kscale = cylinder._forward_recurrence(
@@ -310,12 +329,35 @@ def test_recurrence_per_element_orders():
         orders, z, special.hankel1(0, z), special.hankel1(1, z), np.zeros(z.size), -1.0)
     for i, m in enumerate(orders.tolist()):
         ln_k, ratio_k = _mp_log_pair(mpmath.besselk, m, x[i])
-        pa, pb, ps = cylinder._k_pair_scaled(m, x[i])
-        for a, b, s in ((ka[i], kb[i], kscale[i]), (pa, pb, ps)):
-            assert _same_log(math.log(b) + s, ln_k) < 1e-12, (m, x[i])
-            assert a / b == pytest.approx(ratio_k.real, rel=1e-12)
+        assert _same_log(math.log(kb[i]) + kscale[i], ln_k) < 1e-12, (m, x[i])
+        assert ka[i] / kb[i] == pytest.approx(ratio_k.real, rel=1e-12)
         ln_h, ratio_h = _mp_log_pair(mpmath.hankel1, m, z[i])
-        pa, pb, ps = cylinder._h_pair_scaled(m, z[i])
-        for a, b, s in ((ha[i], hb[i], hscale[i]), (pa, pb, ps)):
-            assert _same_log(np.log(complex(b)) + s, ln_h) < 1e-12, (m, z[i])
-            assert abs(a / b - ratio_h) < 1e-12 * abs(ratio_h)
+        assert _same_log(np.log(complex(hb[i])) + hscale[i], ln_h) < 1e-12, (m, z[i])
+        assert abs(ha[i] / hb[i] - ratio_h) < 1e-12 * abs(ratio_h)
+
+
+def test_exterior_pairs_one_rule():
+    # K and H^(1) mixed in one batch, orders 0, 1, 2 and 203, Im z from +1
+    # down to -8: below Im z = -4 H^(1) is the direct pair, except at
+    # m = 203, z = 1 - 4.5i, where that overflows and the recurrence stays
+    orders = np.repeat([0, 1, 2, 203], 8)
+    z = np.tile([0.3, 60.0, 0.7 + 1.0j, 12.0 - 0.5j, 150.0 - 3.9j,
+                 1.0 - 4.5j, 40.0 - 6.0j, 9.0 - 8.0j], 4)
+    evanescent = z.imag == 0.0
+    a, b, scale = cylinder._exterior_pairs(orders, z, evanescent)
+    for i, m in enumerate(orders.tolist()):
+        one = cylinder._exterior_pairs([m], z[i:i + 1], evanescent[i:i + 1])
+        assert (one[0][0], one[1][0], one[2][0]) == (a[i], b[i], scale[i]), (m, z[i])
+        fn = mpmath.besselk if evanescent[i] else mpmath.hankel1
+        arg = z[i].real if evanescent[i] else z[i]
+        ln_z, ratio = _mp_log_pair(fn, m, arg)
+        assert abs(a[i] / b[i] - ratio) <= 1e-12 * abs(ratio), (m, z[i])
+        assert _same_log(np.log(b[i]) + scale[i], ln_z) <= 1e-11 * abs(ln_z), (m, z[i])
+        if z[i].imag < -4.0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                direct = special.hankel1([abs(m - 1), m], z[i])
+            direct[0] *= -1.0 if m == 0 else 1.0
+            if np.all(np.isfinite(direct)):
+                assert (a[i], b[i], scale[i]) == (direct[0], direct[1], 0.0)
+            else:
+                assert (m, z[i]) == (203, 1.0 - 4.5j) and scale[i] > 0.0

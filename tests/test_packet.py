@@ -230,10 +230,10 @@ def test_transmitted_lobe_bookkeeping(pot, packet_b, table_b, expansion_b_evolut
     by_id = {(mo.m, mo.n): mo for mo in table_b.modes}
     tau = 7.5 * packet_b.s0
     est = 0.0
-    for e in exp.entries():
-        mo = by_id[(e.m, e.n)]
+    for m, n, coeff in zip(exp.m.tolist(), exp.n.tolist(), exp.coeff.tolist()):
+        mo = by_id[(m, n)]
         if mo.klass != BOUND:
-            est += abs(e.coeff) ** 2 * (1.0 - math.exp(-mo.gamma * tau))
+            est += abs(coeff) ** 2 * (1.0 - math.exp(-mo.gamma * tau))
     ev = FieldEvaluator(exp, table_b, GridSpec(r_max=8.5, nr=1700, ntheta=1024))
     frame = ev.snapshot(7.5, packet_b.s0).polar_frame()
     from curvewave.observables import total_probability

@@ -172,9 +172,10 @@ def test_mode_norm_resonance_vs_quadrature(pot):
 
     interior, _ = integrate.quad(lambda r: np.real(phi2(r)), 0, pot.radius, limit=600)
     interior_i, _ = integrate.quad(lambda r: np.imag(phi2(r)), 0, pot.radius, limit=600)
-    # closed-form exterior (regularized), written with order ratios
-    from curvewave import cylinder
-    rm, rp = cylinder.hankel1_order_ratios(120, kout * pot.radius)
+    # closed-form exterior (regularized), written with order ratios of the
+    # direct Hankel values
+    h = special.hankel1([119, 120, 121], kout * pot.radius)
+    rm, rp = h[0] / h[1], h[2] / h[1]
     exterior = -(pot.radius**2 / 2.0) * j_edge**2 * (1.0 - rm * rp)
     ref = math.pi * (interior + 1j * interior_i + exterior)
     assert mode_norm(mo, pot) == pytest.approx(ref, rel=1e-6)
@@ -333,3 +334,20 @@ def test_kernel_matches_raw_determinant_off_axis(pot):
         a, b = raw_terms(pot, m, k)
         g = _g_and_deriv(pot, m, k)[0]
         assert abs(g * special.hankel1(m, w) - (a - b)) <= 1e-12 * (abs(a) + abs(b)), (m, k, w)
+
+
+def test_matching_takes_direct_pair_below_axis(pot):
+    # far below the axis (Im qR < -4) the kernel's S is built from the
+    # direct pair H^(1)_{m-1}, H^(1)_m, as every other exterior below the axis
+    for m, k in ((120, 110.0 - 5.0j), (1, 104.0 - 3.0j)):
+        mt = spectrum._matching(pot, [m], [k])
+        e = pot.hbar**2 * k * k / (2.0 * pot.mass)
+        q = np.sqrt(2.0 * pot.mass * (e - pot.v0)) / pot.hbar
+        w = q * pot.radius
+        assert w.imag < -4.0
+        h = special.hankel1([m - 1, m], w)
+        rm = h[0] / h[1]
+        S = -0.5 * (-rm + ((2.0 * m / w) - rm))
+        jp = 0.5 * (mt.Jm1[0] - mt.Jp1[0])
+        assert (mt.Z[0], mt.log_scale[0], mt.rm[0]) == (h[1], 0.0, rm)
+        assert mt.g[0] == jp - (q / k) * mt.J[0] * S
