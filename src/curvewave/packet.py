@@ -126,13 +126,14 @@ OVERLAP_SCALE = math.sqrt(2.0 * math.pi)
 class Expansion:
     """Branch-resolved expansion coefficients over a mode table."""
 
-    def __init__(self, m, n, branch, coeff, klass, threshold):
+    def __init__(self, m, n, branch, coeff, klass, threshold, quadrature=None):
         self.m = np.asarray(m, dtype=int)
         self.n = np.asarray(n, dtype=int)
         self.branch = np.asarray(branch, dtype=int)
         self.coeff = np.asarray(coeff, dtype=complex)
         self.klass = np.asarray(klass, dtype="U9")
         self.threshold = float(threshold)
+        self.quadrature = dict(quadrature or {})
 
     @property
     def cut(self) -> float:
@@ -154,9 +155,6 @@ class Expansion:
         mask = slice(None) if klass is None else (self.klass == klass)
         return len({(int(m), int(n)) for m, n in zip(self.m[mask], self.n[mask])})
 
-    def counts(self):
-        return {str(kl): self.count_modes(str(kl)) for kl in np.unique(self.klass)}
-
     def bound_weight(self) -> float:
         """Sum of |a|^2 over bound entries (orthonormal subspace, <= 1)."""
         mask = self.klass == BOUND
@@ -174,23 +172,34 @@ class Expansion:
         """
         keep = np.abs(self.coeff) >= self.cut
         return Expansion(self.m[keep], self.n[keep], self.branch[keep],
-                         self.coeff[keep], self.klass[keep], self.threshold)
+                         self.coeff[keep], self.klass[keep], self.threshold,
+                         self.quadrature)
 
 
-def _support_interval(spec: PacketSpec, pad_sigmas: float = 8.0):
+def _support_interval(spec: PacketSpec):
+    """Radii within 8 Gaussian widths of the launch point's distance from 0."""
     rc = float(np.hypot(*spec.launch_point))
     width = math.sqrt((1.0 + (spec.sigma * spec.t0) ** 2) / (2.0 * spec.sigma))
-    lo = max(1.0e-9, rc - pad_sigmas * width)
-    hi = rc + pad_sigmas * width
+    lo = max(1.0e-9, rc - 8.0 * width)
+    hi = rc + 8.0 * width
     return lo, hi
 
 
-def _gauss_legendre_nodes(lo: float, hi: float, panel: float, order: int = 15):
-    n_panels = max(4, int(math.ceil((hi - lo) / panel)))
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
+#: radial panel width in units of 1/k_fast, which bounds the radial wavenumber
+#: of both factors of the integrand J_m(kr) psi_mu(r): it turns by at most
+#: about 2 x 6.6 = 13 rad on a panel, where the 15-node Gauss-Legendre
+#: remainder 2^31 (15!)^4 w^30 / (31 (30!)^3) of e^{i w x}, w = 6.6, is 4e-17.
+PANEL_NODES, PANEL_WIDTH = 15, 6.6
+
+
+def _gauss_legendre_nodes(lo: float, hi: float, panel: float, radius: float):
+    """Composite Gauss-Legendre on [lo, hi], panels at most ``panel`` wide and
+    ``radius`` (where the profiles' second derivative jumps) a panel edge."""
+    cuts = [lo, radius, hi] if lo < radius < hi else [lo, hi]
+    edges = np.concatenate([np.linspace(a, b, int(math.ceil((b - a) / panel)) + 1)[:-1]
+                            for a, b in zip(cuts[:-1], cuts[1:])] + [[hi]])
+    x, w = np.polynomial.legendre.leggauss(PANEL_NODES)
+    half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
@@ -273,17 +282,16 @@ def _doubling_sample(exp: Expansion) -> dict:
 
 
 def expand(spec: PacketSpec, table: ModeTable, threshold: float,
-           n_theta: int | None = None, panel_factor: float = 2.2,
-           check_doubling: bool = True,
            resonance_threshold: float | None = None,
            jobs: int = 1) -> Expansion:
     """Expansion coefficients of the launched packet over the mode basis.
 
     The angular integral is a uniform trapezoid (spectrally exact for the
-    band-limited integrand, evaluated as one FFT per radial node); the radial
-    integral is composite Gauss-Legendre with panels tied to the fastest mode
-    oscillation.  Mode profiles at the nodes are tabulated on ``jobs``
-    threads; the result is bitwise the same for any ``jobs``.
+    band-limited integrand, one FFT per radial node); the radial one is
+    composite Gauss-Legendre on panels at most PANEL_WIDTH/k_fast wide with
+    the step radius R as a panel edge.  Its error is far below that of the
+    support's cut at 8 Gaussian widths (about 1e-9).  Mode profiles at the
+    nodes are tabulated on ``jobs`` threads, bitwise the same for any ``jobs``.
 
     ``threshold`` is quoted for the radial overlap amplitude |coeff|/sqrt(2 pi)
     (see OVERLAP_SCALE); entries below it are dropped.  A CoverageError
@@ -296,68 +304,59 @@ def expand(spec: PacketSpec, table: ModeTable, threshold: float,
     an evolution expansion is one coefficient pass for both uses: its
     ``thresholded()`` cut is the counting expansion.  The panel-doubling
     check therefore verifies the 12-entry samples of both cuts, in one
-    doubled-quadrature pass over their union.
+    half-width pass over their union; the result's ``quadrature`` records the
+    node count, the nodes beyond R and the largest doubling residual.
     """
-    pot = table.pot
+    pot, modes = table.pot, table.modes
     lo, hi = _support_interval(spec)
-    k_fast = max([mo.k.real for mo in table.modes], default=spec.k0)
-    k_fast = max(k_fast, spec.k0 + 6.0 * math.sqrt(spec.sigma / 2.0))
-    nodes, weights = _gauss_legendre_nodes(lo, hi, panel_factor / k_fast)
+    k_fast = max([mo.k.real for mo in modes]
+                 + [spec.k0 + 6.0 * math.sqrt(spec.sigma / 2.0)])
+    m = np.array([mo.m for mo in modes], dtype=int)
+    band = max(4 * int(m.max(initial=0)) + 64, int(3.0 * k_fast * hi))
+    n_theta = 1 << int(math.ceil(math.log2(band)))
 
-    m_max = max([mo.m for mo in table.modes], default=0)
-    if n_theta is None:
-        band = 4 * m_max + 64
-        band = max(band, int(3.0 * k_fast * hi))
-        n_theta = 1 << int(math.ceil(math.log2(band)))
+    def coefficients(panel, modes):
+        """Radial nodes, and per mode the coefficients of branches +m and -m."""
+        nodes, weights = _gauss_legendre_nodes(lo, hi, panel, pot.radius)
+        hat = _angular_coefficients(spec, nodes, n_theta).T
+        weighted = _profile_table(pot, modes, nodes, jobs)
+        weighted *= weights * nodes
+        order = np.array([mo.m for mo in modes], dtype=int)
+        norm = np.array([mo.norm for mo in modes], dtype=complex)
+        pre = math.sqrt(2.0 * np.pi) / np.sqrt(norm / np.pi)
+        return nodes, pre[:, None] * np.stack([np.einsum("in,in->i", weighted, hat[col])
+                                               for col in (order, -order % n_theta)], 1)
 
-    def coefficients(quad_nodes, quad_weights, modes):
-        hat = _angular_coefficients(spec, quad_nodes, n_theta)
-        profiles = _profile_table(pot, modes, quad_nodes, jobs)
-        rows = {"m": [], "n": [], "branch": [], "coeff": [], "klass": []}
-        wr = quad_weights * quad_nodes
-        for mo, prof in zip(modes, profiles):
-            n_rad = mo.norm / np.pi
-            pre = math.sqrt(2.0 * np.pi) / np.sqrt(n_rad)
-            branches = (1,) if mo.m == 0 else (1, -1)
-            for s in branches:
-                hat_col = hat[:, (s * mo.m) % n_theta]
-                coeff = pre * np.sum(wr * prof * hat_col)
-                rows["m"].append(mo.m)
-                rows["n"].append(mo.n)
-                rows["branch"].append(s)
-                rows["coeff"].append(coeff)
-                rows["klass"].append(mo.klass)
-        return rows
-
-    rows = coefficients(nodes, weights, table.modes)
-    coeff = np.asarray(rows["coeff"])
-    klass = np.asarray(rows["klass"], dtype="U9")
+    nodes, coeff = coefficients(PANEL_WIDTH / k_fast, modes)
+    klass = np.array([mo.klass for mo in modes], dtype="U9")
     cut = threshold * OVERLAP_SCALE
     res_cut = cut if resonance_threshold is None else resonance_threshold * OVERLAP_SCALE
-    cuts = np.where(klass == BOUND, cut, res_cut)
-    keep = np.abs(coeff) >= cuts
-    exp = Expansion(np.asarray(rows["m"])[keep], np.asarray(rows["n"])[keep],
-                    np.asarray(rows["branch"])[keep], coeff[keep],
-                    klass[keep], threshold)
+    keep = np.abs(coeff) >= np.where(klass == BOUND, cut, res_cut)[:, None]
+    keep[:, 1] &= m != 0                        # m = 0 has one branch
+    row, col = np.nonzero(keep)                 # table order, +m before -m
+    exp = Expansion(m[row], np.array([mo.n for mo in modes], dtype=int)[row],
+                    1 - 2 * col, coeff[row, col], klass[row], threshold)
 
     # entries below cut never trip the check, so either cut gives one outcome
     if cut > 0.0:
         _check_coverage(exp, table, cut)
 
-    if check_doubling and len(exp):
-        sample = _doubling_sample(exp)
-        sample.update(_doubling_sample(exp.thresholded()))
-        wanted = {(m, n) for m, n, _ in sample}
-        nodes2, weights2 = _gauss_legendre_nodes(lo, hi, 0.5 * panel_factor / k_fast)
-        rows2 = coefficients(nodes2, weights2,
-                             [mo for mo in table.modes if (mo.m, mo.n) in wanted])
-        ref = {(m, n, b): c for m, n, b, c in zip(rows2["m"], rows2["n"],
-                                                  rows2["branch"], rows2["coeff"])}
-        for key, c in sample.items():
-            if abs(c - ref[key]) > 1.0e-8:
-                raise AccuracyError(
-                    f"expansion quadrature not converged for mode {key}: "
-                    f"{c} vs {ref[key]}")
+    sample = _doubling_sample(exp)
+    sample.update(_doubling_sample(exp.thresholded()))
+    sampled = {(m, n) for m, n, _ in sample}
+    wanted = [mo for mo in modes if (mo.m, mo.n) in sampled]
+    coeff2 = coefficients(0.5 * PANEL_WIDTH / k_fast, wanted)[1]
+    ref = {(mo.m, mo.n, 1 - 2 * j): coeff2[i, j]
+           for i, mo in enumerate(wanted) for j in (0, 1)}
+    for key, c in sample.items():
+        if abs(c - ref[key]) > 1.0e-8:
+            raise AccuracyError(
+                f"expansion quadrature not converged for mode {key}: "
+                f"{c} vs {ref[key]}")
+    residuals = [float(abs(c - ref[key])) for key, c in sample.items()]
+    exp.quadrature = {"radial_nodes": len(nodes),
+                      "radial_nodes_beyond_r": int(np.sum(nodes > pot.radius)),
+                      "doubling_residual": max(residuals, default=None)}
     return exp
 
 

@@ -295,6 +295,7 @@ def run_expand(ws: Workspace) -> dict:
         "modes_leaky": exp.count_modes("leaky"),
         "bound_weight": exp.bound_weight(),
         "threshold": cfg.threshold,
+        **exp.quadrature,
     }
     ser.write_json(ws.path(f"expansion_counts_{cfg.preset}.json"), counts)
     return counts

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import special
 
 from curvewave import packet
 from curvewave.errors import AccuracyError, CoverageError, DomainError
@@ -133,6 +134,108 @@ def test_one_pass_cuts_match_separate_expansions(deep_packet, small_table,
         expand(deep_packet, small_table, threshold=0.0005,
                resonance_threshold=0.0, jobs=2)
     assert set(tabulated) == evolution_modes | {(m, n) for m, n, _ in sampled[1]}
+
+
+def test_panels_end_at_step_and_converge(deep_packet, small_table,
+                                         deep_expansion, monkeypatch):
+    # record the main and doubled layouts of an expansion on half-width
+    # panels; the default main layout is re-laid from the same arguments
+    calls = []
+    real_nodes = packet._gauss_legendre_nodes
+
+    def recording(lo, hi, panel, radius):
+        calls.append((lo, hi, panel, radius))
+        return real_nodes(lo, hi, panel, radius)
+
+    monkeypatch.setattr(packet, "_gauss_legendre_nodes", recording)
+    monkeypatch.setattr(packet, "PANEL_WIDTH", 0.5 * packet.PANEL_WIDTH)
+    halved = expand(deep_packet, small_table, threshold=0.0005, jobs=2)
+    lo, hi, panel, radius = calls[0]
+    assert radius == small_table.pot.radius and lo < radius < hi
+    assert [c[2] for c in calls] == [panel, 0.5 * panel]
+    for width in (2.0 * panel, panel, 0.5 * panel):
+        nodes, weights = real_nodes(lo, hi, width, radius)
+        panels = nodes.reshape(-1, packet.PANEL_NODES)
+        half = 0.5 * weights.reshape(panels.shape).sum(axis=1)
+        mid = panels.mean(axis=1)
+        assert np.all(2.0 * half <= width * (1.0 + 1e-12))
+        assert np.sum(2.0 * half) == pytest.approx(hi - lo, rel=1e-12)
+        # no panel has R strictly inside it
+        assert not np.any((mid - half < radius - 1e-12) & (mid + half > radius + 1e-12))
+    main = real_nodes(lo, hi, 2.0 * panel, radius)[0]
+    assert deep_expansion.quadrature["radial_nodes"] == len(main)
+    assert deep_expansion.quadrature["radial_nodes_beyond_r"] == np.sum(main > radius) > 0
+    assert 0.0 <= deep_expansion.quadrature["doubling_residual"] <= 1e-8
+
+    # the default panels are converged over every entry, not only the
+    # 24-entry doubling sample (measured gap: 2.5e-16)
+    for name in ("m", "n", "branch", "klass"):
+        assert np.array_equal(getattr(halved, name), getattr(deep_expansion, name))
+    assert np.max(np.abs(halved.coeff - deep_expansion.coeff)) <= 1e-13
+
+
+def _ring_coefficient(log_pre, v, mu):
+    """(1/2 pi) int exp(log_pre + v . (cos phi, sin phi)) e^{-i mu phi} dphi.
+
+    Equals exp(log_pre) I_mu(rho) e^{-i mu phi_v} with rho^2 = v . v and
+    e^{i phi_v} = (v_x + i v_y)/rho, evaluated in log form with ``ive``.
+    """
+    rho = np.sqrt(v[0] ** 2 + v[1] ** 2)
+    turn = (v[0] - 1j * np.sign(mu) * v[1]) / rho
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_i = np.log(special.ive(np.abs(mu), rho)) + np.abs(rho.real)
+        log_turn = np.where(mu == 0, 0.0, np.abs(mu) * np.log(turn))
+    return np.exp(log_pre + log_i + log_turn)
+
+
+def test_expansion_matches_closed_form_projection(deep_packet, small_table,
+                                                  deep_expansion):
+    # Independent of the radial quadrature: the launched Gaussian
+    # psi = C0 exp(-alpha d.d + i beta kvec.d), d = x - impact, has the 2D
+    # transform C0 (pi/alpha) e^{-i p.impact} exp(-(beta kvec - p)^2/(4 alpha)),
+    # and int_0^inf r J_m(kr) psi_mu(r) dr = i^m/(4 pi^2) times the mu-th
+    # angular Fourier integral of that transform on |p| = k (one I_m per
+    # entry; the transform is entire, so complex k is fine).  The mode's
+    # exterior tail replaces J_m beyond R: that correction is a quadrature
+    # over [R, hi] against the closed-form angular coefficient psi_mu(r).
+    spec, exp = deep_packet, deep_expansion
+    by_id = {(mo.m, mo.n): mo for mo in small_table.modes}
+    modes = [by_id[mn] for mn in zip(exp.m.tolist(), exp.n.tolist())]
+    k = np.array([complex(mo.k) for mo in modes])
+    norm = np.array([mo.norm for mo in modes])
+    m, mu = exp.m, exp.branch * exp.m
+    t = spec.t0
+    denom = 1.0 + 1j * spec.sigma * t
+    alpha, beta = 0.5 * spec.sigma / denom, 1.0 / denom
+    kvec, centre = spec.k0 * spec.direction, np.asarray(spec.impact, dtype=float)
+    log_c0 = (np.log(math.sqrt(spec.sigma / math.pi) / denom)
+              - 1j * spec.e0 * t / denom)
+
+    v = k[None, :] * (beta * kvec / (2.0 * alpha) - 1j * centre)[:, None]
+    log_pre = (log_c0 + np.log(np.pi / alpha)
+               - (beta**2 * spec.k0**2 + k**2) / (4.0 * alpha))
+    whole_plane = 1j**m / (2.0 * np.pi) * _ring_coefficient(log_pre, v, mu)
+
+    radius = small_table.pot.radius
+    hi = packet._support_interval(spec)[1]
+    assert hi > radius                       # the packet reaches past R
+    x, w = np.polynomial.legendre.leggauss(120)
+    r = radius + 0.5 * (hi - radius) * (x + 1.0)
+    w = 0.5 * (hi - radius) * w
+    # psi_mu(r): psi at x = r u is exp(log_ring + r u . (2 alpha centre + i beta kvec))
+    log_ring = log_c0 - alpha * (r**2 + centre @ centre) - 1j * beta * (kvec @ centre)
+    v_ring = (2.0 * alpha * centre + 1j * beta * kvec)[:, None] * r[None, :]
+    mu_values, mu_row = np.unique(mu, return_inverse=True)
+    psi_mu = _ring_coefficient(log_ring[None, :], v_ring[:, None, :],
+                               mu_values[:, None])[mu_row]
+    tail = packet._profile_table(small_table.pot, modes, r)
+    interior = special.jv(m[:, None], k[:, None] * r[None, :])
+    correction = np.sum(w * r * (tail - interior) * psi_mu, axis=1)
+    assert np.max(np.abs(correction)) > 1e-8     # the correction matters
+
+    closed = math.sqrt(2.0 * np.pi) / np.sqrt(norm / np.pi) * (whole_plane + correction)
+    # measured floor 1.0e-9: the cut of the quadrature's support at 8 widths
+    assert np.max(np.abs(closed - exp.coeff)) <= 1e-8
 
 
 def test_reconstruction_fidelity_deep(deep_packet, small_table, deep_expansion):
