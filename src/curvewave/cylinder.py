@@ -24,8 +24,10 @@ Conventions used throughout the package:
   ``hankel1_logderiv`` and ``hankel1_scaled`` are one-element calls, the
   array ratios ``bessel_k_ratio_array`` and ``hankel1_ratio_array`` (the
   exterior tails of the mode profiles) one call over a (rows x points)
-  block with each row's reference argument as one more column, and the
-  mode solver's matching kernel one call over its (m, k) elements.
+  block with one order per row (or one for all) and each row's reference
+  argument as one more column, so a block of mode profiles of many orders
+  takes one call per kind, and the mode solver's matching kernel one call
+  over its (m, k) elements.
 """
 
 from __future__ import annotations
@@ -57,6 +59,18 @@ def _check_order(m):
     if m != int(m) or m < 0:
         raise DomainError(f"order must be a non-negative integer, got {m!r}")
     return int(m)
+
+
+def _check_orders(m):
+    """A scalar order as ``_check_order``, or an array of them as ints."""
+    if np.ndim(m) == 0:
+        return _check_order(m)
+    orders = np.asarray(m)
+    with np.errstate(invalid="ignore"):
+        as_int = orders.astype(int)
+    if np.any(orders != as_int) or np.any(as_int < 0):
+        raise DomainError(f"orders must be non-negative integers, got {orders!r}")
+    return as_int
 
 
 def _check_argument(m, z):
@@ -306,15 +320,17 @@ def hankel1_logderiv(m: int, z) -> complex:
     return 0.5 * (a - hp1) / b
 
 
-def _ratio_array(m: int, z, z_ref, evanescent: bool):
+def _ratio_array(m, z, z_ref, evanescent: bool):
     """Z_m(z)/Z_m(z_ref) by rows: each row of ``z`` over its own ``z_ref``.
 
-    Each row's reference argument goes into the same exterior-pair batch as
-    one more column.
+    ``m`` is one order for every row or one order per row.  Each row's
+    reference argument goes into the same exterior-pair batch as one more
+    column.
     """
     ref = np.asarray(z_ref, dtype=z.dtype)
     cols = np.concatenate([z.reshape(ref.size, -1), ref.reshape(-1, 1)], axis=1)
-    _, value, scale = _exterior_pairs(m, cols.ravel(), evanescent)
+    orders = np.broadcast_to(np.reshape(m, (-1, 1)), cols.shape).ravel()
+    _, value, scale = _exterior_pairs(orders, cols.ravel(), evanescent)
     if evanescent:
         value = value.real
     value, scale = value.reshape(cols.shape), scale.reshape(cols.shape)
@@ -323,25 +339,27 @@ def _ratio_array(m: int, z, z_ref, evanescent: bool):
     return out.reshape(z.shape)
 
 
-def bessel_k_ratio_array(m: int, x, x_ref):
+def bessel_k_ratio_array(m, x, x_ref):
     """K_m(x)/K_m(x_ref) for x > 0, overflow/underflow-safe.
 
     ``x`` is (P,) with a scalar ``x_ref``, or (rows, P) with one ``x_ref``
-    per row.  The forward recurrence is stable for K, the dominant solution.
+    per row; ``m`` is one order, or one per row.  The forward recurrence is
+    stable for K, the dominant solution.
     """
-    m = _check_order(m)
+    m = _check_orders(m)
     return _ratio_array(m, np.asarray(x, dtype=float), x_ref, True)
 
 
-def hankel1_ratio_array(m: int, z, z_ref):
+def hankel1_ratio_array(m, z, z_ref):
     """H^(1)_m(z)/H^(1)_m(z_ref) for z != 0, overflow-safe.
 
     ``z`` is (P,) with a scalar ``z_ref``, or (rows, P) with one ``z_ref``
-    per row.  The forward recurrence is stable on and above the real axis:
-    H^(1) is dominant where it grows (m > |z|) and neutral where it
-    oscillates.  Below the axis, under the turning point, H^(1) decays in
-    the order while H^(2) grows, so rounding is amplified by up to
-    e^{2 |Im z|}; there the direct value is used (see ``_exterior_pairs``).
+    per row; ``m`` is one order, or one per row.  The forward recurrence is
+    stable on and above the real axis: H^(1) is dominant where it grows
+    (m > |z|) and neutral where it oscillates.  Below the axis, under the
+    turning point, H^(1) decays in the order while H^(2) grows, so rounding
+    is amplified by up to e^{2 |Im z|}; there the direct value is used (see
+    ``_exterior_pairs``).
     """
-    m = _check_order(m)
+    m = _check_orders(m)
     return _ratio_array(m, np.asarray(z, dtype=complex), z_ref, False)

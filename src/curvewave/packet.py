@@ -205,59 +205,72 @@ def _gauss_legendre_nodes(lo: float, hi: float, panel: float, radius: float):
     return nodes, weights
 
 
+#: elements (rows x radii) of one profile-table block: large enough that each
+#: block's few kernel calls outweigh their fixed cost and run in parallel
+#: (the ufuncs release the GIL), small enough to bound the temporaries
+PROFILE_BLOCK = 1 << 16
+
+
 def _profile_table(pot: PotentialSpec, modes, r, jobs: int = 1) -> np.ndarray:
     """Radial profiles of ``modes`` at radii r, one row per mode.
 
     A row is J_m(kr) inside the step and the matched tail
     J_m(kR) Z_m(qr)/Z_m(qR) outside, with Z = K for bound modes (evanescent
-    exterior) and Z = H^(1) for resonances (outgoing exterior).  The interior
-    is one ``jv`` call per row.  The tails of all the modes of one m and one
-    kind come from one ratio-array call, so one order recurrence serves them
-    all: the ratio arrays are recurrence-only, because a large-order
-    ``hankel1`` costs several microseconds a point while the recurrence is
-    two seed calls plus m cheap elementwise steps.
+    exterior) and Z = H^(1) for resonances (outgoing exterior).  The rows are
+    split into blocks of about PROFILE_BLOCK elements, each filled by a few
+    batched calls over rows of any orders: one ``jv`` over its complex-k
+    rows and one over its real-k rows inside, and outside one ``jv`` for the
+    edge values J_m(kR), one ``bessel_k_ratio_array`` over its K rows and one
+    ``hankel1_ratio_array`` over its H^(1) rows.  The ratio arrays run one
+    scaled order recurrence per call, not a large-order ``hankel1``.
 
-    Disjoint row chunks are filled on ``jobs`` threads (the ufuncs release the
-    GIL).  Every element goes through the same elementwise operations, so
-    the table is bitwise the same for any ``jobs`` and any grouping.
+    The blocks are filled on ``jobs`` threads.  The split depends only on
+    the table's shape, and every element goes through the same elementwise
+    operations whatever its batch, so the table is bitwise the same for any
+    ``jobs``.
     """
     r = np.asarray(r, dtype=float)
     inside = r <= pot.radius
-    outside = ~inside
-    r_in, r_out = r[inside], r[outside]
+    r_in, r_out = r[inside], r[~inside]
+    col_in, col_out = np.flatnonzero(inside), np.flatnonzero(~inside)
+    m = np.array([mo.m for mo in modes], dtype=int)
+    k = np.array([complex(mo.k) for mo in modes], dtype=complex)
+    real_k = k.imag == 0.0
+    # q per mode from the scalar expression (array arithmetic for e rounds
+    # differently in the last bit); real for the evanescent (K) rows
+    q = np.empty(len(modes), dtype=complex)
+    evanescent = np.empty(len(modes), dtype=bool)
+    for i, kc in enumerate(k.tolist()):
+        e = pot.hbar**2 * kc * kc / (2.0 * pot.mass)
+        evanescent[i] = e.real < pot.v0
+        if evanescent[i]:
+            q[i] = complex(np.sqrt(2.0 * pot.mass * (pot.v0 - e)) / pot.hbar).real
+        else:
+            q[i] = complex(np.sqrt(2.0 * pot.mass * (e - pot.v0)) / pot.hbar)
     table = np.empty((len(modes), len(r)), dtype=complex)
 
     def fill(rows):
-        tails = {}
-        for i in rows:
-            m, kc = modes[i].m, complex(modes[i].k)
-            table[i, inside] = special.jv(m, kc.real * r_in if kc.imag == 0.0
-                                          else kc * r_in)
-            e = pot.hbar**2 * kc * kc / (2.0 * pot.mass)
-            evanescent = e.real < pot.v0
-            if evanescent:
-                q = complex(np.sqrt(2.0 * pot.mass * (pot.v0 - e)) / pot.hbar).real
-            else:
-                q = complex(np.sqrt(2.0 * pot.mass * (e - pot.v0)) / pot.hbar)
-            tails.setdefault((m, evanescent), []).append((i, kc, q))
+        for sel, kr in ((rows[real_k[rows]], k.real), (rows[~real_k[rows]], k)):
+            table[np.ix_(sel, col_in)] = special.jv(m[sel, None], kr[sel, None] * r_in)
         if len(r_out) == 0:
             return
-        for (m, evanescent), group in tails.items():
-            idx, k, q = (np.array(col) for col in zip(*group))
-            ratio_array = (cylinder.bessel_k_ratio_array if evanescent
-                           else cylinder.hankel1_ratio_array)
-            ratio = ratio_array(m, q[:, None] * r_out, q * pot.radius)
-            j_edge = special.jv(m, k * pot.radius)
-            table[np.ix_(idx, outside)] = j_edge[:, None] * ratio
+        j_edge = special.jv(m[rows], k[rows] * pot.radius)
+        for kind, ratio_array, qk in ((True, cylinder.bessel_k_ratio_array, q.real),
+                                      (False, cylinder.hankel1_ratio_array, q)):
+            here = evanescent[rows] == kind
+            sel = rows[here]
+            if len(sel):
+                ratio = ratio_array(m[sel], qk[sel, None] * r_out, qk[sel] * pot.radius)
+                table[np.ix_(sel, col_out)] = j_edge[here, None] * ratio
 
-    if jobs > 1:
-        # several chunks per worker even out rows of unequal cost
-        # (the recurrence runs m steps; bound tails are real, resonance complex)
-        chunks = np.array_split(np.arange(len(modes)), 8 * jobs)
+    blocks = np.array_split(np.arange(len(modes)),
+                            max(1, -(-table.size // PROFILE_BLOCK)))
+    if jobs > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(fill, chunks))
+            list(pool.map(fill, blocks))
     else:
-        fill(range(len(modes)))
+        for rows in blocks:
+            fill(rows)
     return table
 
 
@@ -416,7 +429,8 @@ class FieldFrame:
 class FieldEvaluator:
     """Caches mode radial profiles; evaluates the field at any time or point.
 
-    Profiles are sampled once on a uniform radial grid, tabulated on ``jobs``
+    Profiles are sampled once on a uniform radial grid by ``_profile_table``,
+    in row blocks of a few batched kernel calls each, filled on ``jobs``
     threads (bitwise the same table for any ``jobs``).  A time snapshot
     reduces the expansion to per-angular-frequency radial columns; polar
     frames come out exactly on the grid (inverse FFT over theta), scattered

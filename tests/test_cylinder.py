@@ -265,6 +265,22 @@ def test_ratio_recurrence_batched_rows_bitwise():
         for i in range(len(kap)):
             assert np.array_equal(
                 rows[i], cylinder.bessel_k_ratio_array(m, kap[i] * r, kap[i] * 2.0))
+    # one order per row: one call over rows of mixed orders equals the
+    # single-order calls row by row
+    orders = np.resize([0, 1, 2, 75, 190], len(q))
+    rows = cylinder.hankel1_ratio_array(orders, q[:, None] * r, q * 2.0)
+    for i, m in enumerate(orders.tolist()):
+        assert np.array_equal(
+            rows[i], cylinder.hankel1_ratio_array(m, q[:, None] * r, q * 2.0)[i])
+    rows = cylinder.bessel_k_ratio_array(orders, kap[:, None] * r, kap * 2.0)
+    for i, m in enumerate(orders.tolist()):
+        assert np.array_equal(
+            rows[i], cylinder.bessel_k_ratio_array(m, kap[:, None] * r, kap * 2.0)[i])
+    for bad in ([0, 1, -2], [0, 1.5, 2], [0, np.nan, 2]):
+        with pytest.raises(DomainError):
+            cylinder.hankel1_ratio_array(np.array(bad), q[:3, None] * r, q[:3] * 2.0)
+        with pytest.raises(DomainError):
+            cylinder.bessel_k_ratio_array(np.array(bad), kap[:3, None] * r, kap[:3] * 2.0)
 
 
 def test_domain_and_range_errors():

@@ -1,11 +1,12 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import special
 
-from curvewave import packet
+from curvewave import cylinder, packet
 from curvewave.errors import AccuracyError, CoverageError, DomainError
 from curvewave.packet import (Expansion, FieldEvaluator, GridSpec, PacketSpec,
                               evolve, expand, gaussian_free, reconstruct)
@@ -97,6 +98,92 @@ def test_threaded_tabulation_matches_serial_bitwise(deep_packet, small_table,
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(serial, threaded)
+
+
+def _profile_rows_oracle(pot, modes, r):
+    """The per-row tabulation the blocked ``_profile_table`` replaced.
+
+    One ``jv`` call per row inside the step, and outside one ratio-array call
+    per (m, kind) group of rows with its own edge ``jv`` call.
+    """
+    r = np.asarray(r, dtype=float)
+    inside = r <= pot.radius
+    outside = ~inside
+    r_in, r_out = r[inside], r[outside]
+    table = np.empty((len(modes), len(r)), dtype=complex)
+    tails = {}
+    for i, mo in enumerate(modes):
+        m, kc = mo.m, complex(mo.k)
+        table[i, inside] = special.jv(m, kc.real * r_in if kc.imag == 0.0
+                                      else kc * r_in)
+        e = pot.hbar**2 * kc * kc / (2.0 * pot.mass)
+        evanescent = e.real < pot.v0
+        if evanescent:
+            q = complex(np.sqrt(2.0 * pot.mass * (pot.v0 - e)) / pot.hbar).real
+        else:
+            q = complex(np.sqrt(2.0 * pot.mass * (e - pot.v0)) / pot.hbar)
+        tails.setdefault((m, evanescent), []).append((i, kc, q))
+    for (m, evanescent), group in tails.items():
+        idx, k, q = (np.array(col) for col in zip(*group))
+        ratio_array = (cylinder.bessel_k_ratio_array if evanescent
+                       else cylinder.hankel1_ratio_array)
+        ratio = ratio_array(m, q[:, None] * r_out, q * pot.radius)
+        table[np.ix_(idx, outside)] = special.jv(m, k * pot.radius)[:, None] * ratio
+    return table
+
+
+def test_profile_table_blocks_match_per_row_oracle(small_table):
+    # every resonance and every 8th bound mode, in table order; radii on
+    # both sides of R (R itself appended, unsorted) and out to 9, where the
+    # most damped resonance's H^(1) argument falls below Im z = -4
+    pot = small_table.pot
+    modes = [mo for i, mo in enumerate(small_table.modes)
+             if i % 8 == 0 or mo.klass != BOUND]
+    r = np.append(np.linspace(0.01, 9.0, 160), pot.radius)
+    oracle = _profile_rows_oracle(pot, modes, r)
+
+    m = np.array([mo.m for mo in modes])
+    k = np.array([complex(mo.k) for mo in modes])
+    resonance = np.array([mo.klass != BOUND for mo in modes])
+    assert np.any(resonance) and not np.all(resonance)
+    assert np.any(resonance & (k.imag == 0.0)) and np.any(k.imag != 0.0)
+    assert np.any(r < pot.radius) and np.any(r > pot.radius)
+    q = np.sqrt(k[resonance] ** 2 - 2.0 * pot.v0)
+    assert np.min(q.imag) * r.max() < -4.0
+    n_blocks = -(-oracle.size // packet.PROFILE_BLOCK)
+    starts = np.cumsum([len(b) for b in
+                        np.array_split(np.arange(len(modes)), n_blocks)])[:-1]
+    assert n_blocks > 1 and np.any(m[starts - 1] == m[starts])
+
+    for jobs in (1, 2, 5):
+        assert np.array_equal(packet._profile_table(pot, modes, r, jobs), oracle), jobs
+
+
+def test_profile_table_calls_per_block(small_table, monkeypatch):
+    # the exterior tails take at most one K and one H^(1) ratio call per
+    # block, however many orders the block holds: the same rows with one
+    # order make exactly as many calls
+    pot = small_table.pot
+    modes = [mo for mo in small_table.modes if 5 <= mo.m < 65][::3]
+    assert len({mo.m for mo in modes}) >= 50
+    one_order = [replace(mo, m=40) for mo in modes]
+    r = np.linspace(0.5, 4.0, 120)
+    calls = []
+    real_pairs = cylinder._exterior_pairs
+
+    def counted(m, z, evanescent):
+        calls.append(len(z))
+        return real_pairs(m, z, evanescent)
+
+    monkeypatch.setattr(cylinder, "_exterior_pairs", counted)
+    counts = []
+    for rows in (modes, one_order):
+        calls.clear()
+        packet._profile_table(pot, rows, r, jobs=2)
+        counts.append(len(calls))
+    n_blocks = -(-len(modes) * len(r) // packet.PROFILE_BLOCK)
+    assert 0 < counts[0] <= 2 * n_blocks
+    assert counts[0] == counts[1]
 
 
 def test_one_pass_cuts_match_separate_expansions(deep_packet, small_table,
