@@ -162,20 +162,6 @@ def reflection_modified(bar: ModifiedEffBarrier, energy: float):
             "hankel_amp": amp}
 
 
-def reflection_modified_curve(bar: ModifiedEffBarrier, energies):
-    """Unwrapped phi_R(E) over a monotone grid of plateau-relative energies."""
-    energies = np.asarray(energies, dtype=float)
-    phis = np.empty(len(energies))
-    fs = np.empty(len(energies), dtype=complex)
-    for i, e in enumerate(energies):
-        out = reflection_modified(bar, float(e))
-        fs[i] = out["F"]
-        phis[i] = out["phi_r"]
-    # the pointwise branch is already continuous below the step; unwrap
-    # handles the continuation above it
-    return np.unwrap(phis), fs
-
-
 def gh_theory(m0: float, k0: float, pot: PotentialSpec,
               fd_step_fraction: float = 1.0e-3):
     """Boundary shift from the reflection-phase slope of the flattened barrier.
@@ -323,40 +309,6 @@ def transmitted_peak_time(window: KWindow, barrier, x_eval: float,
             return float(tg[i] - 0.5 * (tg[1] - tg[0])
                          * (vals[i + 1] - vals[i - 1]) / denom)
     return float(tg[i])
-
-
-def transmitted_delay_spatial(window: KWindow, barrier,
-                              t_lo: float, t_hi: float, n_t: int = 9,
-                              x_span: float | None = None) -> float:
-    """Delay of the moving spatial peak, back-extrapolated to the exit point.
-
-    Tracks argmax_x |Psi(x, t)|^2 at several times after the transmitted
-    packet has formed and fits the linear track; the returned delay is when
-    the track crosses x_b.  Robust against slow components lingering at the
-    exit (they distort the fixed-point temporal profile but not the moving
-    peak).
-    """
-    ks = window.grid(600)
-    energies, ts_amp, kps, x_b = _transmitted_amplitudes(window, barrier, ks)
-    w = window.weights(ks)
-    v_max = float(np.max(kps.real))
-    span = x_span if x_span is not None else v_max * t_hi + 2.0
-    xg = np.linspace(x_b + 0.05, x_b + span, 1200)
-    tg = np.linspace(t_lo, t_hi, n_t)
-    peaks = np.empty(n_t)
-    for j, t in enumerate(tg):
-        phase = np.exp(1j * (kps[None, :] * (xg[:, None] - x_b) - energies[None, :] * t))
-        vals = np.abs(np.trapezoid(w * ts_amp * phase, ks, axis=1)) ** 2
-        i = int(np.argmax(vals))
-        if 0 < i < len(xg) - 1:
-            denom = vals[i - 1] - 2 * vals[i] + vals[i + 1]
-            off = (0.5 * (xg[1] - xg[0]) * (vals[i + 1] - vals[i - 1]) / denom
-                   if denom != 0 else 0.0)
-        else:
-            off = 0.0
-        peaks[j] = xg[i] - off
-    slope, intercept = np.polyfit(tg, peaks, 1)
-    return float((x_b - intercept) / slope)
 
 
 def delay_from_phase(energies, phis, e0: float, hbar: float = 1.0) -> float:

@@ -99,7 +99,8 @@ def _dispatch(args) -> int:
         print(json.dumps({"order": ev.order,
                           "argument": [ev.argument.real, ev.argument.imag],
                           "value": [ev.value.real, ev.value.imag],
-                          "derivative": [ev.derivative.real, ev.derivative.imag]},
+                          "derivative": [ev.derivative.real, ev.derivative.imag],
+                          "log_scale": ev.log_scale},
                          indent=2, sort_keys=True))
         return 0
 

@@ -2,11 +2,12 @@
 
 Conventions used throughout the package:
 
-* orders ``m`` are non-negative integers (negative orders fold back via
-  ``Z_{-m} = (-1)^m Z_m`` for J/H and ``K_{-m} = K_m``),
-* derivatives are always formed from the two-term recurrence
-  ``Z_m' = (Z_{m-1} - Z_{m+1})/2`` (K: ``K_m' = -(K_{m-1}+K_{m+1})/2``),
-  never from finite differences,
+* orders ``m`` are non-negative integers (the order-0 pair folds back via
+  ``Z_{-1} = -Z_1`` for J/H and ``K_{-1} = K_1``),
+* derivatives are always formed from the order recurrences, never from
+  finite differences,
+* J_m comes from ``jv`` at the call sites (the mode solver, the profile
+  tables); this module has no scalar J, H^(1) or K wrappers,
 * the exterior functions K_m and H^(1)_m, whose raw values overflow double
   precision in the deep-evanescent regime (|z| well below the order), come
   as the pair (Z_{m-1}, Z_m) with a log scale from one private batched
@@ -27,7 +28,9 @@ Conventions used throughout the package:
   block with one order per row (or one for all) and each row's reference
   argument as one more column, so a block of mode profiles of many orders
   takes one call per kind, and the mode solver's matching kernel one call
-  over its (m, k) elements.
+  over its (m, k) elements,
+* ``eval_cylinder`` (the ``corefn-eval`` command) is the debug view over
+  these kernels: one value and derivative, with the log scale.
 """
 
 from __future__ import annotations
@@ -47,12 +50,13 @@ _RESCALE = 1.0e250
 
 @dataclass(frozen=True)
 class CylinderEval:
-    """One function evaluation: order, argument, value and derivative."""
+    """One evaluation: Z_m = value * exp(log_scale), Z_m' = derivative * exp(log_scale)."""
 
     order: int
     argument: complex
     value: complex
     derivative: complex
+    log_scale: float
 
 
 def _check_order(m):
@@ -101,93 +105,38 @@ def _check_k_argument(m, x) -> float:
     return x
 
 
-def _scalar_like(z, values):
-    if np.ndim(z) == 0:
-        return complex(values)
-    return values
-
-
-def _signed_order(m: int, z, fn):
-    # fold negative order through Z_{-m} = (-1)^m Z_m
-    if m >= 0:
-        return fn(m, z)
-    return (-1.0) ** (-m) * fn(-m, z)
-
-
-def bessel_j(m: int, z) -> complex:
-    """Bessel function of the first kind J_m(z), complex argument."""
-    m = _check_order(m)
-    z = _check_argument(m, z)
-    out = special.jv(m, z)
-    if not np.all(np.isfinite(out)):
-        raise RangeError(f"J_{m} overflowed at argument {z!r}")
-    return _scalar_like(z, out)
-
-
-def bessel_j_deriv(m: int, z) -> complex:
-    """J_m'(z) from the recurrence (J_{m-1} - J_{m+1})/2."""
-    m = _check_order(m)
-    z = _check_argument(m, z)
-    jm1 = _signed_order(m - 1, z, special.jv)
-    jp1 = special.jv(m + 1, z)
-    return _scalar_like(z, 0.5 * (jm1 - jp1))
-
-
-def hankel1(m: int, z) -> complex:
-    """Hankel function of the first kind H^(1)_m(z); decays for Im z > 0."""
-    m = _check_order(m)
-    z = _check_hankel_argument(m, z)
-    out = special.hankel1(m, z)
-    if not np.all(np.isfinite(out)):
-        raise RangeError(f"H^(1)_{m} overflowed at argument {z!r}; "
-                         "use hankel1_scaled for the deep-evanescent regime")
-    return _scalar_like(z, out)
-
-
-def hankel1_deriv(m: int, z) -> complex:
-    """H^(1)_m'(z) from the recurrence (H_{m-1} - H_{m+1})/2."""
-    m = _check_order(m)
-    z = _check_hankel_argument(m, z)
-    hm1 = _signed_order(m - 1, z, special.hankel1)
-    hp1 = special.hankel1(m + 1, z)
-    return _scalar_like(z, 0.5 * (hm1 - hp1))
-
-
-def bessel_k(m: int, x: float) -> float:
-    """Modified Bessel function K_m(x), real positive argument only."""
-    m = _check_order(m)
-    x = _check_k_argument(m, x)
-    out = special.kv(m, x)
-    if not math.isfinite(out):
-        raise RangeError(f"K_{m}({x}) overflows double range; use bessel_k_logderiv")
-    return float(out)
-
-
-def bessel_k_deriv(m: int, x: float) -> float:
-    """K_m'(x) = -(K_{m-1}(x) + K_{m+1}(x))/2."""
-    m = _check_order(m)
-    x = _check_k_argument(m, x)
-    return float(-0.5 * (special.kv(abs(m - 1), x) + special.kv(m + 1, x)))
-
-
 def eval_cylinder(kind: str, m: int, z) -> CylinderEval:
-    """Evaluate one cylinder function with its derivative.
+    """Z_m(z) and Z_m'(z) from the pipeline's kernels: the debug view.
 
-    ``kind`` is one of ``"j"``, ``"h1"``, ``"k"``.  Used by the debug CLI
-    and by oracle cross-checks.
+    ``kind`` is one of ``"j"``, ``"h1"``, ``"k"``.  J_{m-1} and J_m come from
+    ``jv`` (on the real line for real z, as the mode solver takes them),
+    with log scale 0; H^(1) and K come from ``_exterior_pairs``, so both
+    stay finite where the raw values overflow.  The derivative is formed
+    from the pair, Z_m' = Z_{m-1} - (m/z) Z_m (K: K_m' = -K_{m-1} - (m/x) K_m).
     """
     kind = kind.lower()
+    if kind not in ("j", "h1", "k"):
+        raise DomainError(f"unknown cylinder function kind {kind!r}")
+    m = _check_order(m)
     if kind == "j":
-        return CylinderEval(int(m), complex(z), bessel_j(m, z), bessel_j_deriv(m, z))
-    if kind == "h1":
-        return CylinderEval(int(m), complex(z), hankel1(m, z), hankel1_deriv(m, z))
-    if kind == "k":
-        x = complex(z)
-        if x.imag != 0.0:
+        z = complex(_check_argument(m, z))
+        lower, value = special.jv([m - 1, m], z.real if z.imag == 0.0 else z)
+        # J_{m+1}(0) = 0, so J_m'(0) = (J_{m-1}(0) - J_{m+1}(0))/2 = J_{m-1}(0)/2
+        deriv = 0.5 * lower if z == 0.0 else lower - (m / z) * value
+        scale = 0.0
+    elif kind == "h1":
+        z = complex(_check_hankel_argument(m, z))
+        (lower,), (value,), (scale,) = _exterior_pairs(m, [z], False)
+        deriv = lower - (m / z) * value
+    else:
+        if complex(z).imag != 0.0:
             raise DomainError("K_m is implemented for real positive argument only")
-        return CylinderEval(int(m), complex(z), complex(bessel_k(m, x.real)),
-                            complex(bessel_k_deriv(m, x.real)))
-    raise DomainError(f"unknown cylinder function kind {kind!r}")
+        z = _check_k_argument(m, complex(z).real)
+        (lower,), (value,), (scale,) = _exterior_pairs(m, [z], True)
+        deriv = -lower - (m / z) * value
+    if not (np.isfinite(value) and np.isfinite(deriv)):
+        raise RangeError(f"{kind}_{m} overflowed at argument {z!r}")
+    return CylinderEval(m, complex(z), complex(value), complex(deriv), float(scale))
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,6 @@ class PotentialSpec:
         """k_T = sqrt(k_V^2 + (m/R)^2); top of the tunneling barrier."""
         return math.hypot(self.k_step, m / self.radius)
 
-    def barrier_top(self, m: int) -> float:
-        """V_eff just outside the step, V0 + hbar^2 m^2/(2 m* R^2)."""
-        return self.v0 + (self.hbar * m) ** 2 / (2.0 * self.mass * self.radius**2)
-
 
 def effective_potential(pot: PotentialSpec, m: int, r):
     """Effective 1D radial potential: centrifugal term plus the step.

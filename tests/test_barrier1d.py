@@ -84,8 +84,6 @@ def test_rect_peak_timing_delays():
     w_narrow = b1.KWindow(k0=math.sqrt(160.0), sigma_k=0.5)
     assert b1.transmitted_peak_time(w_narrow, bar, bar.x_b, -0.1, 0.3) == pytest.approx(
         0.045, abs=0.01)
-    assert b1.transmitted_delay_spatial(w_narrow, bar, 0.25, 0.8) == pytest.approx(
-        0.045, abs=0.01)
     w_broad = b1.KWindow(k0=10.0, sigma_k=1.45)
     assert b1.transmitted_peak_time(w_broad, bar, bar.x_b, -0.1, 0.3) == pytest.approx(
         0.045, abs=0.01)
@@ -131,7 +129,7 @@ def test_reflection_modified_tracks_planar_step():
     pot = PotentialSpec()
     bar = b1.ModifiedEffBarrier(m=120, pot=pot)
     es = np.linspace(400, 4600, 600)
-    phis, _ = b1.reflection_modified_curve(bar, es)
+    phis = np.unwrap([b1.reflection_modified(bar, float(e))["phi_r"] for e in es])
     ref = np.array([b1.step_phase(e, pot.v0) for e in es])
     sel = (es >= 500) & (es <= 4500)
     assert np.max(np.abs(phis[sel] - ref[sel])) <= 0.05 * math.pi

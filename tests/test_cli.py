@@ -1,8 +1,10 @@
 import json
+import math
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,32 @@ def test_corefn_eval(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["value"][0] == pytest.approx(0.4400505857, abs=1e-9)
     assert out["order"] == 1
+
+
+def test_corefn_eval_deep_evanescent(capsys):
+    # H1_200(2) and K_200(1) overflow doubles; the command prints them in
+    # units of exp(log_scale), checked against 40-digit mpmath
+    for kind, fn, x in (("h1", mpmath.hankel1, 2.0), ("k", mpmath.besselk, 1.0)):
+        assert main(["corefn-eval", "--kind", kind, "--order", "200",
+                     "--re", str(x)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        value, deriv = complex(*out["value"]), complex(*out["derivative"])
+        assert np.isfinite(value) and np.isfinite(deriv) and out["log_scale"] > 500.0
+        with mpmath.workdps(40):
+            z = fn(200, x)
+            # Z' = Z_{199} - (200/x) Z for H^(1), -K_{199} - (200/x) K for K
+            z_prime = (fn(199, x) if kind == "h1" else -fn(199, x)) - (200 / x) * z
+            log_abs, logderiv = float(mpmath.log(abs(z))), complex(z_prime / z)
+        assert math.log(abs(value)) + out["log_scale"] == pytest.approx(log_abs, rel=1e-12)
+        assert abs(deriv / value - logderiv) <= 1e-12 * abs(logderiv)
+
+
+def test_corefn_eval_rejects_bad_input(capsys):
+    assert main(["corefn-eval", "--kind", "j", "--order", "-1", "--re", "1.0"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+    assert main(["corefn-eval", "--kind", "k", "--order", "2", "--re", "1.0",
+                 "--im", "1"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
 
 
 def test_modes_single_m_contains_reference_resonance(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate, special
 
-from curvewave import cylinder
+from curvewave import cylinder, spectrum
 from curvewave.errors import DomainError, RangeError, SingularArgumentError
 
 
@@ -36,44 +36,82 @@ def series_bessel_y(n, z, terms=60):
     return lead - s1 / math.pi - s2 / math.pi
 
 
+def _jv(m, z):
+    """J_m(z) from the mode solver's kernel, on the real line for real z."""
+    m, z = np.broadcast_arrays(np.asarray(m, dtype=int), np.asarray(z, dtype=complex))
+    return spectrum._jv(m.ravel(), z.ravel(), z.ravel().imag == 0.0)
+
+
+def _exterior(m, z, evanescent=False):
+    """Z_m(z) unscaled from the exterior pair: H^(1), or K on the real line."""
+    m, z = np.broadcast_arrays(np.asarray(m, dtype=int), np.asarray(z, dtype=complex))
+    _, value, scale = cylinder._exterior_pairs(m.ravel(), z.ravel(), evanescent)
+    value = value * np.exp(scale)
+    return value.real if evanescent else value
+
+
 def test_bessel_j_trivial_origin():
-    assert cylinder.bessel_j(0, 0.0) == 1.0
-    assert cylinder.bessel_j(3, 0.0) == 0.0
+    assert np.array_equal(_jv([0, 3], 0.0), [1.0, 0.0])
 
 
 def test_bessel_j_series_oracle():
     # frozen from the power-series oracle
     assert series_bessel_j(1, 1.0).real == pytest.approx(0.4400505857449335, rel=1e-14)
-    assert cylinder.bessel_j(1, 1.0) == pytest.approx(series_bessel_j(1, 1.0), rel=1e-10)
+    assert _jv(1, 1.0)[0] == pytest.approx(series_bessel_j(1, 1.0), rel=1e-10)
     for m, z in [(0, 0.7), (2, 3.3), (7, 9.1 + 0.4j), (12, 6.0 - 1.0j)]:
-        assert cylinder.bessel_j(m, z) == pytest.approx(series_bessel_j(m, z), rel=1e-12)
+        assert _jv(m, z)[0] == pytest.approx(series_bessel_j(m, z), rel=1e-12)
 
 
 def test_hankel1_small_argument_oracle():
     ref = series_bessel_j(1, 1.0) + 1j * series_bessel_y(1, 1.0)
     assert ref == pytest.approx(0.4400505857449335 - 0.7812128213002887j, rel=1e-12)
-    assert cylinder.hankel1(1, 1.0) == pytest.approx(ref, rel=1e-10)
+    assert _exterior(1, 1.0)[0] == pytest.approx(ref, rel=1e-10)
 
 
 def test_hankel1_asymptotic_magnitude():
-    mag = abs(cylinder.hankel1(0, 100.0))
+    mag = abs(_exterior(0, 100.0)[0])
     assert mag == pytest.approx(math.sqrt(2.0 / (math.pi * 100.0)), rel=0.01)
 
 
 def test_wronskian_identity_hot_region():
-    # J_m H1_m' - J_m' H1_m = 2i/(pi z).  Cancellation limits the testable
-    # imaginary range to |Im z| <~ 6, and far below the turning point the
-    # factors themselves leave the double range, so z >= ~m/2 here.
-    worst = 0.0
+    # J_m H_{m-1} - J_{m-1} H_m = 2i/(pi z) on the kernels: J from jv, H
+    # from the exterior pair in units of exp(scale).  It holds under the
+    # turning point too (|z| < m/2), and on the direct branch below
+    # Im z = -4 (4 - 4.5i, 150 - 5i); only J_200(1) underflows to 0.
+    worst, underflow = 0.0, []
     for m in (0, 1, 5, 60, 120, 200):
         for z in (1.0 + 0j, 5.0 - 0.5j, 52.6 + 0j, 113.0 - 1.57e-6j,
-                  250.0 - 3.0j, 300.0 + 6.0j):
-            if abs(z) < 0.52 * m:
+                  250.0 - 3.0j, 300.0 + 6.0j, 4.0 - 4.5j, 150.0 - 5.0j):
+            j_lo, j = _jv([abs(m - 1), m], z)
+            j_lo *= -1.0 if m == 0 else 1.0       # J_{-1} = -J_1
+            if j == 0.0:
+                underflow.append((m, z))
                 continue
-            w = (cylinder.bessel_j(m, z) * cylinder.hankel1_deriv(m, z)
-                 - cylinder.bessel_j_deriv(m, z) * cylinder.hankel1(m, z))
+            (a,), (b,), (scale,) = cylinder._exterior_pairs(m, [z], False)
             target = 2j / (math.pi * z)
-            worst = max(worst, abs(w - target) / abs(target))
+            worst = max(worst, _same_log(np.log(j * a - j_lo * b) + scale,
+                                         np.log(target)))
+    assert underflow == [(200, 1.0)]
+    assert worst < 1e-10
+
+
+def test_k_wronskian_identity():
+    # I_m K_{m-1} + I_{m-1} K_m = 1/x with I = ive e^x and K from the
+    # exterior pair in units of exp(scale); at m = 120, x = 0.3 and
+    # m = 200, x = 5 the pair has passed the rescale threshold, so the
+    # scales are combined in logs.  I_m K_m ~ 1/(2m), so where K_200
+    # overflows I_200 underflows in ive (x <= 4.3), as J_200(1) does above.
+    worst, underflow = 0.0, []
+    for m in (0, 1, 5, 60, 120, 200):
+        for x in (0.3, 1.0, 5.0, 52.6, 113.0, 250.0):
+            i_m, i_lo = special.ive([m, abs(m - 1)], x)
+            if i_m == 0.0:
+                underflow.append((m, x))
+                continue
+            (a,), (b,), (scale,) = cylinder._exterior_pairs(m, [x], True)
+            w = i_m * a.real + i_lo * b.real
+            worst = max(worst, _same_log(np.log(w) + scale + x, -np.log(x)))
+    assert underflow == [(200, 0.3), (200, 1.0)]
     assert worst < 1e-10
 
 
@@ -82,67 +120,73 @@ def test_wronskian_identity_hot_region():
 def test_recurrence_identities(m, x, im):
     assume(x >= 0.52 * m)   # factors representable in doubles
     z = complex(x, im)
-    for fn in (cylinder.bessel_j, cylinder.hankel1):
-        zm1 = fn(m - 1, z)
-        zp1 = fn(m + 1, z)
-        zm = fn(m, z)
+    for fn in (_jv, _exterior):
+        zm1, zm, zp1 = fn([m - 1, m, m + 1], z)
         scale = max(abs(zm1), abs(zp1), abs(zm))
         assert abs(zm1 + zp1 - (2 * m / z) * zm) <= 1e-9 * scale * max(1.0, 2 * m / abs(z))
 
 
 def test_k_recurrence_identity():
     m, x = 120, 100.0
-    lhs = cylinder.bessel_k(m + 1, x) - cylinder.bessel_k(m - 1, x)
-    rhs = (2 * m / x) * cylinder.bessel_k(m, x)
-    assert lhs == pytest.approx(rhs, rel=1e-9)
+    km1, km, kp1 = _exterior([m - 1, m, m + 1], x, evanescent=True)
+    assert kp1 - km1 == pytest.approx((2 * m / x) * km, rel=1e-9)
 
 
 def test_bessel_k_integral_oracle():
     # K_0(x) = int_0^inf exp(-x cosh t) dt
     val, _ = integrate.quad(lambda t: math.exp(-1.0 * math.cosh(t)), 0, 30, limit=200)
     assert val == pytest.approx(0.42102443824070834, rel=1e-12)
-    assert cylinder.bessel_k(0, 1.0) == pytest.approx(0.4210244382, rel=1e-10)
+    assert _exterior(0, 1.0, evanescent=True)[0] == pytest.approx(0.4210244382, rel=1e-10)
 
 
 def test_bessel_k_asymptotic_and_monotone():
     x = 50.0
     asym = math.sqrt(math.pi / (2 * x)) * math.exp(-x)
-    assert cylinder.bessel_k(0, x) / asym == pytest.approx(1.0, abs=0.01)
-    xs = np.linspace(0.5, 40, 40)
-    vals = [cylinder.bessel_k(3, float(x)) for x in xs]
-    assert all(v > 0 for v in vals)
-    assert all(a > b for a, b in zip(vals, vals[1:]))
+    assert _exterior(0, x, evanescent=True)[0] / asym == pytest.approx(1.0, abs=0.01)
+    vals = _exterior(3, np.linspace(0.5, 40, 40), evanescent=True)
+    assert np.all(vals > 0)
+    assert np.all(vals[:-1] > vals[1:])
+
+
+def _unscaled(kind, m, z):
+    """(Z_m, Z_m') from eval_cylinder; Z_{-1} = -Z_1 (J, H^(1)), K_{-1} = K_1."""
+    if m < 0:
+        value, deriv = _unscaled(kind, -m, z)
+        sign = 1.0 if kind == "k" else -1.0
+        return sign * value, sign * deriv
+    ev = cylinder.eval_cylinder(kind, m, z)
+    scale = np.exp(ev.log_scale)
+    return ev.value * scale, ev.derivative * scale
 
 
 def test_ode_residual():
-    # z^2 Z'' + z Z' + (z^2 - m^2) Z = 0 with Z'' from derivative recurrences
+    # z^2 Z'' + z Z' + (z^2 - m^2) Z = 0, with Z' from the pair in
+    # eval_cylinder and Z'' = (Z'_{m-1} - Z'_{m+1})/2
     for m, z in [(0, 2.0), (5, 7.0 - 0.3j), (60, 80.0), (120, 226.0 - 1e-5j),
                  (200, 210.0)]:
-        for fn, dfn in ((cylinder.bessel_j, cylinder.bessel_j_deriv),
-                        (cylinder.hankel1, cylinder.hankel1_deriv)):
-            val = fn(m, z)
-            d1 = dfn(m, z)
-            d2 = 0.5 * (dfn(m - 1, z) if m >= 1 else -dfn(1, z)) - 0.5 * dfn(m + 1, z)
+        for kind in ("j", "h1"):
+            val, d1 = _unscaled(kind, m, z)
+            d2 = 0.5 * (_unscaled(kind, m - 1, z)[1] - _unscaled(kind, m + 1, z)[1])
             resid = z * z * d2 + z * d1 + (z * z - m * m) * val
             scale = max(abs(z * z * d2), abs(z * z * val), 1e-300)
             assert abs(resid) / scale < 1e-8
-    # modified equation for K: z^2 K'' + z K' - (z^2 + m^2) K = 0
+    # modified equation for K: z^2 K'' + z K' - (z^2 + m^2) K = 0,
+    # K'' = -(K'_{m-1} + K'_{m+1})/2
     m, x = 40, 55.0
-    val = cylinder.bessel_k(m, x)
-    d1 = cylinder.bessel_k_deriv(m, x)
-    d2 = -0.5 * (cylinder.bessel_k_deriv(m - 1, x) + cylinder.bessel_k_deriv(m + 1, x))
+    val, d1 = _unscaled("k", m, x)
+    d2 = -0.5 * (_unscaled("k", m - 1, x)[1] + _unscaled("k", m + 1, x)[1])
     resid = x * x * d2 + x * d1 - (x * x + m * m) * val
     assert abs(resid) / abs(x * x * d2) < 1e-8
 
 
 def test_large_order_scaled_paths():
     # no overflow for orders up to 300
-    ratio = cylinder.bessel_j(300, 300.0) / cylinder.bessel_j(300, 300.0 * (1 + 1e-6))
+    ratio = _jv(300, 300.0)[0] / _jv(300, 300.0 * (1 + 1e-6))[0]
     assert np.isfinite(ratio)
-    # scaled Hankel agrees with the direct value where both exist
+    # scaled Hankel agrees with the direct AMOS value where both exist
     for m, z in [(50, 20.0), (120, 105.2 + 0j)]:
         val, scale = cylinder.hankel1_scaled(m, z)
-        assert val * np.exp(scale) == pytest.approx(cylinder.hankel1(m, z), rel=1e-10)
+        assert val * np.exp(scale) == pytest.approx(special.hankel1(m, z), rel=1e-10)
     # deep-evanescent regime: finite log magnitude where the raw value overflows
     val, scale = cylinder.hankel1_scaled(200, 2.0)
     assert np.isfinite(abs(val)) and scale > 400.0
@@ -284,25 +328,26 @@ def test_ratio_recurrence_batched_rows_bitwise():
 
 
 def test_domain_and_range_errors():
+    ev = cylinder.eval_cylinder
     with pytest.raises(DomainError):
-        cylinder.bessel_k(2, -1.0)
+        ev("k", 2, -1.0)
     with pytest.raises(DomainError):
-        cylinder.bessel_k(2, 0.0)
+        ev("k", 2, 0.0)
     with pytest.raises(SingularArgumentError):
-        cylinder.hankel1(3, 0.0)
+        ev("h1", 3, 0.0)
     with pytest.raises(DomainError):
-        cylinder.bessel_j(-2, 1.0)
+        ev("j", -2, 1.0)
     with pytest.raises(RangeError) as err:
-        cylinder.bessel_j(10, 1.0 + 800.0j)
+        ev("j", 10, 1.0 + 800.0j)
     assert "10" in str(err.value)
     with pytest.raises(RangeError):
-        cylinder.bessel_j(0, 2.0e4)
-    # the log-derivatives validate as bessel_k and hankel1_scaled do
+        ev("j", 0, 2.0e4)
+    # the log-derivatives validate as eval_cylinder and hankel1_scaled do
     for fn, bad in ((cylinder.hankel1_logderiv, math.nan),
                     (cylinder.bessel_k_logderiv, math.nan),
                     (cylinder.bessel_k_logderiv, math.inf),
-                    (cylinder.bessel_k_deriv, math.nan),
-                    (cylinder.bessel_k_deriv, math.inf)):
+                    (lambda m, x: ev("k", m, x), math.nan),
+                    (lambda m, x: ev("k", m, x), math.inf)):
         with pytest.raises(DomainError):
             fn(3, bad)
     for bad in (2.0e4, 1.0 - 800.0j):
@@ -314,11 +359,20 @@ def test_domain_and_range_errors():
 
 def test_eval_cylinder_surface():
     ev = cylinder.eval_cylinder("j", 5, 7.0)
-    assert ev.order == 5 and ev.argument == 7.0 + 0j
+    assert ev.order == 5 and ev.argument == 7.0 + 0j and ev.log_scale == 0.0
+    assert ev.value == _jv(5, 7.0)[0]
     assert ev.derivative == pytest.approx(
-        0.5 * (cylinder.bessel_j(4, 7.0) - cylinder.bessel_j(6, 7.0)), rel=1e-14)
+        0.5 * (special.jv(4, 7.0) - special.jv(6, 7.0)), rel=1e-14)
+    assert cylinder.eval_cylinder("j", 1, 0.0).derivative == 0.5
+    # H^(1) and K are the exterior pair's values, scale included
+    for kind, z in (("h1", 4.0 - 4.5j), ("h1", 2.0), ("k", 1.0)):
+        ev = cylinder.eval_cylinder(kind, 200, z)
+        _, value, scale = cylinder._exterior_pairs(200, [z], kind == "k")
+        assert (ev.value, ev.log_scale) == (value[0], scale[0])
     with pytest.raises(DomainError):
         cylinder.eval_cylinder("k", 2, 1.0 + 1.0j)
+    with pytest.raises(DomainError):
+        cylinder.eval_cylinder("y", 2, 1.0)
 
 
 def _mp_log_pair(fn, m, z):

@@ -229,7 +229,7 @@ def test_delta_j_values(pot):
 
 
 def test_delta_j_limits_and_errors(pot):
-    top = pot.barrier_top(120)
+    top = pot.v0 + 120**2 / (2.0 * pot.radius**2)     # V_eff just outside R
     e_near_top = top * (1 - 1e-9)
     k = math.sqrt(2 * e_near_top)
     fake = EigenMode(m=120, n=99, k=complex(k, -1e-9), energy=complex(e_near_top, -1e-7),
