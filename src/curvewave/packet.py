@@ -26,7 +26,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 from scipy.interpolate import CubicSpline
 
 from . import cylinder
@@ -218,11 +217,15 @@ def _profile_table(pot: PotentialSpec, modes, r, jobs: int = 1) -> np.ndarray:
     J_m(kR) Z_m(qr)/Z_m(qR) outside, with Z = K for bound modes (evanescent
     exterior) and Z = H^(1) for resonances (outgoing exterior).  The rows are
     split into blocks of about PROFILE_BLOCK elements, each filled by a few
-    batched calls over rows of any orders: one ``jv`` over its complex-k
-    rows and one over its real-k rows inside, and outside one ``jv`` for the
-    edge values J_m(kR), one ``bessel_k_ratio_array`` over its K rows and one
-    ``hankel1_ratio_array`` over its H^(1) rows.  The ratio arrays run one
-    scaled order recurrence per call, not a large-order ``hankel1``.
+    batched calls over rows of any orders: one ``cylinder._bessel_j`` over
+    its real-k rows (in float arithmetic) and one over its complex-k rows,
+    each with r = R as one more column, which is the edge value J_m(kR) of
+    the tail, and outside one ``bessel_k_ratio_array`` over its K rows and
+    one ``hankel1_ratio_array`` over its H^(1) rows.  Inside, J_m is one
+    Miller backward recurrence in the order per call and the ratio arrays
+    one scaled forward recurrence, so the only per-point AMOS calls left are
+    the exterior seeds at orders 0 and 1 (and H^(1) far below the real axis,
+    see ``cylinder._exterior_pairs``).
 
     The blocks are filled on ``jobs`` threads.  The split depends only on
     the table's shape, and every element goes through the same elementwise
@@ -249,19 +252,22 @@ def _profile_table(pot: PotentialSpec, modes, r, jobs: int = 1) -> np.ndarray:
             q[i] = complex(np.sqrt(2.0 * pot.mass * (e - pot.v0)) / pot.hbar)
     table = np.empty((len(modes), len(r)), dtype=complex)
 
+    # the last column, R, is the tails' edge value J_m(kR)
+    r_j = np.append(r_in, pot.radius)
+    j_edge = np.empty(len(modes), dtype=complex)
+
     def fill(rows):
         for sel, kr in ((rows[real_k[rows]], k.real), (rows[~real_k[rows]], k)):
-            table[np.ix_(sel, col_in)] = special.jv(m[sel, None], kr[sel, None] * r_in)
-        if len(r_out) == 0:
-            return
-        j_edge = special.jv(m[rows], k[rows] * pot.radius)
+            j = cylinder._bessel_j(np.repeat(m[sel], len(r_j)), (kr[sel, None] * r_j).ravel())
+            j = j.reshape(len(sel), len(r_j))
+            table[np.ix_(sel, col_in)] = j[:, :-1]
+            j_edge[sel] = j[:, -1]
         for kind, ratio_array, qk in ((True, cylinder.bessel_k_ratio_array, q.real),
                                       (False, cylinder.hankel1_ratio_array, q)):
-            here = evanescent[rows] == kind
-            sel = rows[here]
-            if len(sel):
+            sel = rows[evanescent[rows] == kind]
+            if len(sel) and len(r_out):
                 ratio = ratio_array(m[sel], qk[sel, None] * r_out, qk[sel] * pot.radius)
-                table[np.ix_(sel, col_out)] = j_edge[here, None] * ratio
+                table[np.ix_(sel, col_out)] = j_edge[sel, None] * ratio
 
     blocks = np.array_split(np.arange(len(modes)),
                             max(1, -(-table.size // PROFILE_BLOCK)))
@@ -341,18 +347,21 @@ def expand(spec: PacketSpec, table: ModeTable, threshold: float,
                                                for col in (order, -order % n_theta)], 1)
 
     nodes, coeff = coefficients(PANEL_WIDTH / k_fast, modes)
+    n = np.array([mo.n for mo in modes], dtype=int)
     klass = np.array([mo.klass for mo in modes], dtype="U9")
     cut = threshold * OVERLAP_SCALE
     res_cut = cut if resonance_threshold is None else resonance_threshold * OVERLAP_SCALE
-    keep = np.abs(coeff) >= np.where(klass == BOUND, cut, res_cut)[:, None]
-    keep[:, 1] &= m != 0                        # m = 0 has one branch
-    row, col = np.nonzero(keep)                 # table order, +m before -m
-    exp = Expansion(m[row], np.array([mo.n for mo in modes], dtype=int)[row],
-                    1 - 2 * col, coeff[row, col], klass[row], threshold)
+    branches = np.ones(coeff.shape, dtype=bool)
+    branches[:, 1] = m != 0                     # m = 0 has one branch
 
-    # entries below cut never trip the check, so either cut gives one outcome
-    if cut > 0.0:
-        _check_coverage(exp, table, cut)
+    def entries(keep):
+        row, col = np.nonzero(keep)             # table order, +m before -m
+        return Expansion(m[row], n[row], 1 - 2 * col, coeff[row, col], klass[row],
+                         threshold)
+
+    exp = entries(branches & (np.abs(coeff) >= np.where(klass == BOUND, cut, res_cut)[:, None]))
+    # on every coefficient, so the margins say how near the cut the edges are
+    margins = _check_coverage(entries(branches), table, cut)
 
     sample = _doubling_sample(exp)
     sample.update(_doubling_sample(exp.thresholded()))
@@ -369,34 +378,44 @@ def expand(spec: PacketSpec, table: ModeTable, threshold: float,
     residuals = [float(abs(c - ref[key])) for key, c in sample.items()]
     exp.quadrature = {"radial_nodes": len(nodes),
                       "radial_nodes_beyond_r": int(np.sum(nodes > pot.radius)),
-                      "doubling_residual": max(residuals, default=None)}
+                      "doubling_residual": max(residuals, default=None),
+                      **margins}
     return exp
 
 
-def _check_coverage(exp: Expansion, table: ModeTable, threshold: float):
-    if len(exp) == 0:
-        return
-    m_values = table.m_values
-    m_lo, m_hi = m_values[0], m_values[-1]
-    for edge, name in ((m_hi, "upper m"), (m_lo, "lower m")):
-        if name == "lower m" and edge == 0:
-            continue
-        near = np.abs(exp.m - edge) <= 1
-        if np.any(near) and np.max(np.abs(exp.coeff[near])) >= threshold:
-            raise CoverageError(
-                f"mode table too narrow at the {name} edge (m = {edge}): "
-                f"coefficient {np.max(np.abs(exp.coeff[near])):.3g} >= threshold")
+def _check_coverage(exp: Expansion, table: ModeTable, threshold: float) -> dict:
+    """Coverage margins of ``exp``: its largest |coeff| next to each table edge,
+    over ``threshold``; a CoverageError where one reaches the threshold.
+
+    The edges are the upper and the lower m (entries within 1 of it; m = 0 is
+    no edge) and the resonance k (resonance entries within pi/R of the
+    largest Re k of the table's resonances).  A margin is 0 where no entry
+    is next to the edge, and None where there is no edge or no threshold.
+    """
+    m_lo, m_hi = table.m_values[0], table.m_values[-1]
+    edges = {"upper_m": (f"upper m edge (m = {m_hi})", np.abs(exp.m - m_hi) <= 1),
+             "lower_m": (f"lower m edge (m = {m_lo})",
+                         np.abs(exp.m - m_lo) <= 1 if m_lo > 0 else None),
+             "resonance_k": ("resonance k edge", None)}
     res_k = [mo.k.real for mo in table.modes if mo.klass != BOUND]
     if res_k:
         k_hi = max(res_k)
-        spacing = np.pi / table.pot.radius
         k_of = {(mo.m, mo.n): mo.k.real for mo in table.modes}
         k_re = np.array([k_of.get(mn, -np.inf)
                          for mn in zip(exp.m.tolist(), exp.n.tolist())])
-        near = (exp.klass != BOUND) & (k_hi - k_re <= spacing)
-        if np.any(near) and np.max(np.abs(exp.coeff[near])) >= threshold:
-            raise CoverageError(
-                f"mode table too narrow at the resonance k edge ({k_hi:.3f})")
+        edges["resonance_k"] = (f"resonance k edge ({k_hi:.3f})",
+                                (exp.klass != BOUND) & (k_hi - k_re <= np.pi / table.pot.radius))
+    margins = {}
+    for key, (where, near) in edges.items():
+        if near is None or threshold <= 0.0:
+            margins[f"coverage_margin_{key}"] = None
+            continue
+        largest = float(np.max(np.abs(exp.coeff[near]), initial=0.0))
+        if largest >= threshold:
+            raise CoverageError(f"mode table too narrow at the {where}: "
+                                f"coefficient {largest:.3g} >= threshold")
+        margins[f"coverage_margin_{key}"] = largest / threshold
+    return margins
 
 
 @dataclass

@@ -42,6 +42,13 @@ def _jv(m, z):
     return spectrum._jv(m.ravel(), z.ravel(), z.ravel().imag == 0.0)
 
 
+def _bessel_j(m, z):
+    """J_m(z) from the profile tables' recurrence, in float arithmetic for real z."""
+    m, z = np.broadcast_arrays(np.asarray(m, dtype=int), np.asarray(z, dtype=complex))
+    z = z.ravel()
+    return cylinder._bessel_j(m.ravel(), z.real if np.all(z.imag == 0.0) else z)
+
+
 def _exterior(m, z, evanescent=False):
     """Z_m(z) unscaled from the exterior pair: H^(1), or K on the real line."""
     m, z = np.broadcast_arrays(np.asarray(m, dtype=int), np.asarray(z, dtype=complex))
@@ -62,6 +69,72 @@ def test_bessel_j_series_oracle():
         assert _jv(m, z)[0] == pytest.approx(series_bessel_j(m, z), rel=1e-12)
 
 
+def _mp_bessel_j(m, z):
+    with mpmath.workdps(40):
+        return complex(mpmath.besselj(int(m), mpmath.mpmathify(complex(z))))
+
+
+def test_bessel_j_recurrence_against_mpmath():
+    # orders 0, 1, 60, 120, 203 with |z| on both sides of m, and Im z down to
+    # -max_im_k R = -6 at the solver default; one mixed-order batch per Im z,
+    # real z in float arithmetic.  Pointwise wherever J is a normal number,
+    # and each element alone is bitwise the element inside the batch.
+    orders = (0, 1, 60, 120, 203)
+    m = np.array([mm for mm in orders for _ in range(5)])
+    x = np.array([x for mm in orders for x in
+                  ((0.4, 3.0, 7.0, 20.0, 100.0) if mm < 2 else
+                   (0.05 * mm, 0.5 * mm, 0.9 * mm, 1.1 * mm, 1.5 * mm))])
+    for im in (0.0, -0.5, -2.0, -6.0):
+        z = x if im == 0.0 else x + 1j * im
+        got = cylinder._bessel_j(m, z)
+        assert got.dtype == z.dtype
+        for i in range(len(z)):
+            assert cylinder._bessel_j(m[i], z[i:i + 1])[0] == got[i], (m[i], z[i])
+            ref = _mp_bessel_j(m[i], z[i])
+            assert abs(ref) > 1e-290
+            assert abs(got[i] - ref) <= 1e-13 * abs(ref), (m[i], z[i])
+
+
+def test_bessel_j_recurrence_sum_rule_loss():
+    # the Neumann sum's terms reach e^{|Im z|}, so far below the axis the
+    # normalization loses about e^{|Im z|} eps: beyond the 1e-13 of the
+    # table's range, within the documented bound
+    z = np.array([0.3 - 10.0j])
+    err = abs(cylinder._bessel_j(0, z)[0] / _mp_bessel_j(0, z[0]) - 1.0)
+    assert 1e-13 < err <= math.exp(10.0) * np.finfo(float).eps
+
+
+def test_bessel_j_recurrence_origin_and_underflow():
+    # J_0(0) = 1 and J_m(0) = 0 exactly, in a batch with other points
+    got = cylinder._bessel_j([0, 0, 3, 203, 5], np.array([0.0, 1.0, 0.0, 0.0, 2.0]))
+    assert (got[0], got[2], got[3]) == (1.0, 0.0, 0.0)
+    assert got[1] == pytest.approx(special.j0(1.0), rel=1e-15)
+    # J_203(x) for x <= 4.8 is below 1e-290, where jv returns 0; the
+    # recurrence underflows gradually and cleanly, to 0 where the value is
+    # below the smallest subnormal
+    x = np.array([1.0, 3.0, 4.0, 4.3, 4.6, 4.8])
+    assert np.all(special.jv(203, x) == 0.0)
+    got = cylinder._bessel_j(203, x)
+    assert got[0] == 0.0 and got[1] == 0.0
+    for xi, gi in zip(x, got):
+        ref = _mp_bessel_j(203, xi).real
+        assert abs(gi - ref) <= 1e-13 * abs(ref) + 4 * 5e-324, xi
+    # complex arguments, exactly 0 where J underflows
+    z = np.array([1.0 - 0.5j, 2.0 - 1.0j])
+    assert np.all(cylinder._bessel_j(203, z) == 0.0)
+
+
+def test_bessel_j_recurrence_rejects_bad_input():
+    for bad in (-1, 1.5, [0, -2], [0, 2.5]):
+        with pytest.raises(DomainError):
+            cylinder._bessel_j(bad, np.ones(np.size(bad)))
+    for bad in (2.0e4, 1.0 - 800.0j, 1.0e-60, 1.0e-60j):
+        with pytest.raises(RangeError):
+            cylinder._bessel_j(3, np.array([1.0, bad]))
+    with pytest.raises(DomainError):
+        cylinder._bessel_j(3, np.array([np.nan]))
+
+
 def test_hankel1_small_argument_oracle():
     ref = series_bessel_j(1, 1.0) + 1j * series_bessel_y(1, 1.0)
     assert ref == pytest.approx(0.4400505857449335 - 0.7812128213002887j, rel=1e-12)
@@ -73,16 +146,18 @@ def test_hankel1_asymptotic_magnitude():
     assert mag == pytest.approx(math.sqrt(2.0 / (math.pi * 100.0)), rel=0.01)
 
 
-def test_wronskian_identity_hot_region():
-    # J_m H_{m-1} - J_{m-1} H_m = 2i/(pi z) on the kernels: J from jv, H
-    # from the exterior pair in units of exp(scale).  It holds under the
-    # turning point too (|z| < m/2), and on the direct branch below
-    # Im z = -4 (4 - 4.5i, 150 - 5i); only J_200(1) underflows to 0.
+@pytest.mark.parametrize("j_kernel", [_jv, _bessel_j], ids=["jv", "recurrence"])
+def test_wronskian_identity_hot_region(j_kernel):
+    # J_m H_{m-1} - J_{m-1} H_m = 2i/(pi z) on the kernels: J from jv (the
+    # mode solver's) or the Miller recurrence (the profile tables'), H from
+    # the exterior pair in units of exp(scale).  It holds under the turning
+    # point too (|z| < m/2), and on the direct branch below Im z = -4
+    # (4 - 4.5i, 150 - 5i); only J_200(1) underflows to 0.
     worst, underflow = 0.0, []
     for m in (0, 1, 5, 60, 120, 200):
         for z in (1.0 + 0j, 5.0 - 0.5j, 52.6 + 0j, 113.0 - 1.57e-6j,
                   250.0 - 3.0j, 300.0 + 6.0j, 4.0 - 4.5j, 150.0 - 5.0j):
-            j_lo, j = _jv([abs(m - 1), m], z)
+            j_lo, j = j_kernel([abs(m - 1), m], z)
             j_lo *= -1.0 if m == 0 else 1.0       # J_{-1} = -J_1
             if j == 0.0:
                 underflow.append((m, z))

@@ -104,7 +104,8 @@ def _profile_rows_oracle(pot, modes, r):
     """The per-row tabulation the blocked ``_profile_table`` replaced.
 
     One ``jv`` call per row inside the step, and outside one ratio-array call
-    per (m, kind) group of rows with its own edge ``jv`` call.
+    per (m, kind) group of rows with its own edge ``jv`` call: AMOS/cephes
+    J_m, independent of the table's Miller recurrence.
     """
     r = np.asarray(r, dtype=float)
     inside = r <= pot.radius
@@ -132,10 +133,13 @@ def _profile_rows_oracle(pot, modes, r):
     return table
 
 
-def test_profile_table_blocks_match_per_row_oracle(small_table):
+def test_profile_table_blocks_match_per_row_oracle(small_table, monkeypatch):
     # every resonance and every 8th bound mode, in table order; radii on
     # both sides of R (R itself appended, unsorted) and out to 9, where the
-    # most damped resonance's H^(1) argument falls below Im z = -4
+    # most damped resonance's H^(1) argument falls below Im z = -4.  The
+    # table's J_m is a Miller recurrence, the oracle's is jv, whose own error
+    # against mpmath reaches 2e-13 of a row's largest value near the turning
+    # point, so they agree to that; the table is bitwise the same for any jobs
     pot = small_table.pot
     modes = [mo for i, mo in enumerate(small_table.modes)
              if i % 8 == 0 or mo.klass != BOUND]
@@ -155,8 +159,22 @@ def test_profile_table_blocks_match_per_row_oracle(small_table):
                         np.array_split(np.arange(len(modes)), n_blocks)])[:-1]
     assert n_blocks > 1 and np.any(m[starts - 1] == m[starts])
 
-    for jobs in (1, 2, 5):
-        assert np.array_equal(packet._profile_table(pot, modes, r, jobs), oracle), jobs
+    table = packet._profile_table(pot, modes, r, 1)
+    envelope = np.max(np.abs(oracle), axis=1, keepdims=True)
+    assert np.all(np.abs(table - oracle) <= 2e-13 * envelope)
+    for jobs in (2, 5):
+        assert np.array_equal(packet._profile_table(pot, modes, r, jobs), table), jobs
+
+    # continuity at R: with the tail ratios set to 1, the value just above R
+    # is the tails' edge value J_m(kR), which comes from the same kernel and
+    # argument as the interior value at R, so the two are bitwise equal
+    def unit(m, z, z_ref):
+        return np.ones(np.shape(z))
+
+    monkeypatch.setattr(cylinder, "bessel_k_ratio_array", unit)
+    monkeypatch.setattr(cylinder, "hankel1_ratio_array", unit)
+    edge = packet._profile_table(pot, modes, [pot.radius, np.nextafter(pot.radius, 3.0)])
+    assert np.array_equal(edge[:, 1], edge[:, 0])
 
 
 def test_profile_table_calls_per_block(small_table, monkeypatch):
@@ -393,6 +411,16 @@ def test_empty_expansion_zero_field(small_table):
     empty = Expansion([], [], [], [], [], 0.0005)
     frame = reconstruct(empty, small_table, GridSpec(r_max=3.0, nr=100, ntheta=64))
     assert np.all(frame.values == 0.0)
+
+
+def test_coverage_margins_recorded(deep_expansion):
+    # the largest |coeff| next to each table edge over the cut, from every
+    # coefficient before the cut: below 1 on the deep packet, and None at
+    # m = 0, which is no edge
+    q = deep_expansion.quadrature
+    assert 0.0 < q["coverage_margin_upper_m"] < 1.0
+    assert q["coverage_margin_lower_m"] is None
+    assert 0.0 < q["coverage_margin_resonance_k"] < 1.0
 
 
 def test_coverage_error_on_narrow_table(pot, deep_packet):
