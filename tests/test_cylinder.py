@@ -146,28 +146,28 @@ def test_hankel1_asymptotic_magnitude():
     assert mag == pytest.approx(math.sqrt(2.0 / (math.pi * 100.0)), rel=0.01)
 
 
-@pytest.mark.parametrize("j_kernel", [_jv, _bessel_j], ids=["jv", "recurrence"])
-def test_wronskian_identity_hot_region(j_kernel):
+def test_wronskian_identity_hot_region():
     # J_m H_{m-1} - J_{m-1} H_m = 2i/(pi z) on the kernels: J from jv (the
-    # mode solver's) or the Miller recurrence (the profile tables'), H from
-    # the exterior pair in units of exp(scale).  It holds under the turning
-    # point too (|z| < m/2), and on the direct branch below Im z = -4
-    # (4 - 4.5i, 150 - 5i); only J_200(1) underflows to 0.
-    worst, underflow = 0.0, []
-    for m in (0, 1, 5, 60, 120, 200):
-        for z in (1.0 + 0j, 5.0 - 0.5j, 52.6 + 0j, 113.0 - 1.57e-6j,
-                  250.0 - 3.0j, 300.0 + 6.0j, 4.0 - 4.5j, 150.0 - 5.0j):
-            j_lo, j = j_kernel([abs(m - 1), m], z)
-            j_lo *= -1.0 if m == 0 else 1.0       # J_{-1} = -J_1
-            if j == 0.0:
-                underflow.append((m, z))
-                continue
-            (a,), (b,), (scale,) = cylinder._exterior_pairs(m, [z], False)
-            target = 2j / (math.pi * z)
-            worst = max(worst, _same_log(np.log(j * a - j_lo * b) + scale,
-                                         np.log(target)))
-    assert underflow == [(200, 1.0)]
-    assert worst < 1e-10
+    # mode solver's) and from the Miller recurrence (the profile tables'), H
+    # from the exterior pair in units of exp(scale).  It holds under the
+    # turning point too (|z| < m/2), and on the direct branch below
+    # Im z = -4 (4 - 4.5i, 150 - 5i); only J_200(1) underflows to 0.
+    for j_kernel in (_jv, _bessel_j):
+        worst, underflow = 0.0, []
+        for m in (0, 1, 5, 60, 120, 200):
+            for z in (1.0 + 0j, 5.0 - 0.5j, 52.6 + 0j, 113.0 - 1.57e-6j,
+                      250.0 - 3.0j, 300.0 + 6.0j, 4.0 - 4.5j, 150.0 - 5.0j):
+                j_lo, j = j_kernel([abs(m - 1), m], z)
+                j_lo *= -1.0 if m == 0 else 1.0       # J_{-1} = -J_1
+                if j == 0.0:
+                    underflow.append((m, z))
+                    continue
+                (a,), (b,), (scale,) = cylinder._exterior_pairs(m, [z], False)
+                target = 2j / (math.pi * z)
+                worst = max(worst, _same_log(np.log(j * a - j_lo * b) + scale,
+                                             np.log(target)))
+        assert underflow == [(200, 1.0)], j_kernel
+        assert worst < 1e-10, j_kernel
 
 
 def test_k_wronskian_identity():
