@@ -243,6 +243,7 @@ def _bessel_j(m, z):
     # the elements of order mu are by_order[first[mu]:first[mu + 1]]
     by_order = np.argsort(order, kind="stable")
     first = np.searchsorted(order[by_order], np.arange(top + 1))
+    del big, start, by_start, order           # not held through the order loop
     prev, cur, nxt = np.zeros(n, z.dtype), np.ones(n, z.dtype), np.empty(n, z.dtype)
     even_sum = np.ones(n, z.dtype)            # sum of f_{2k}, k >= 1, from f_N = 1
     expo, kept_expo = np.zeros(n, int), np.zeros(n, int)

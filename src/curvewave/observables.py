@@ -17,7 +17,7 @@ from scipy.integrate import simpson
 from .errors import DomainError, FitQualityError, RangeError, UndefinedCentroidError
 from .packet import FieldFrame, PacketSpec
 from .potential import PotentialSpec
-from .spectrum import TUNNELING, delta_j
+from .spectrum import TUNNELING, _image_distance
 
 #: exterior-lobe mask starts this far outside the boundary, past the
 #: evanescent skirt that would otherwise bias centroids
@@ -419,19 +419,18 @@ def tunneling_direction(field_at_by_time: dict, times, alphas, d_grid, h_grid,
 def delta_predicted(expansion, table, pot: PotentialSpec) -> float:
     """Decay-weighted average of the per-mode image distances.
 
-    Delta = sum |b|^2 gamma Delta_j / sum |b|^2 gamma over tunneling modes.
+    Delta = sum |b|^2 gamma Delta_j / sum |b|^2 gamma over tunneling modes
+    with Re E > V0, summed in entry order.
     """
-    by_id = {(mo.m, mo.n): mo for mo in table.modes}
+    rows = table.rows(expansion.m, expansion.n)
+    energy = table.energy.real[rows]
+    use = (expansion.klass == TUNNELING) & (energy > pot.v0)
+    distances = _image_distance(pot, expansion.m[use], energy[use])
     num = den = 0.0
-    for m, n, coeff, klass in zip(expansion.m.tolist(), expansion.n.tolist(),
-                                  expansion.coeff.tolist(), expansion.klass.tolist()):
-        if klass != TUNNELING:
-            continue
-        mo = by_id[(m, n)]
-        if mo.energy.real <= pot.v0:
-            continue
-        w = abs(coeff) ** 2 * mo.gamma
-        num += w * delta_j(mo, pot)
+    for coeff, gamma, d in zip(expansion.coeff[use].tolist(),
+                               table.gamma[rows[use]].tolist(), distances.tolist()):
+        w = abs(coeff) ** 2 * gamma
+        num += w * d
         den += w
     if den == 0.0:
         raise DomainError("no decaying tunneling weight in the expansion")

@@ -30,7 +30,6 @@ from scipy.interpolate import CubicSpline
 
 from . import cylinder
 from .errors import AccuracyError, CoverageError, DomainError
-from .potential import PotentialSpec
 from .spectrum import BOUND, ModeTable
 
 
@@ -123,7 +122,11 @@ OVERLAP_SCALE = math.sqrt(2.0 * math.pi)
 
 
 class Expansion:
-    """Branch-resolved expansion coefficients over a mode table."""
+    """Branch-resolved expansion coefficients over a mode table.
+
+    The entries are (m, n, branch, coeff, klass) columns, the ``expansion_``
+    file's; ``ModeTable.rows(m, n)`` maps them to table rows.
+    """
 
     def __init__(self, m, n, branch, coeff, klass, threshold, quadrature=None):
         self.m = np.asarray(m, dtype=int)
@@ -142,17 +145,14 @@ class Expansion:
     def __len__(self):
         return len(self.coeff)
 
-    def mode_ids(self):
-        """Distinct (m, n) pairs present, in table order."""
-        seen = {}
-        for m, n in zip(self.m, self.n):
-            seen.setdefault((int(m), int(n)), None)
-        return list(seen)
+    def mode_ids(self) -> np.ndarray:
+        """Distinct (m, n) pairs present, sorted, as the rows of an array."""
+        return np.unique(np.stack([self.m, self.n], axis=1), axis=0)
 
     def count_modes(self, klass=None) -> int:
         """Distinct (m, n) modes, optionally restricted to one class."""
-        mask = slice(None) if klass is None else (self.klass == klass)
-        return len({(int(m), int(n)) for m, n in zip(self.m[mask], self.n[mask])})
+        ids = np.stack([self.m, self.n], axis=1)
+        return len(np.unique(ids if klass is None else ids[self.klass == klass], axis=0))
 
     def bound_weight(self) -> float:
         """Sum of |a|^2 over bound entries (orthonormal subspace, <= 1)."""
@@ -210,9 +210,10 @@ def _gauss_legendre_nodes(lo: float, hi: float, panel: float, radius: float):
 PROFILE_BLOCK = 1 << 16
 
 
-def _profile_table(pot: PotentialSpec, modes, r, jobs: int = 1) -> np.ndarray:
-    """Radial profiles of ``modes`` at radii r, one row per mode.
+def _profile_table(table: ModeTable, rows, r, jobs: int = 1) -> np.ndarray:
+    """Radial profiles of the table's ``rows`` at radii r, one row each.
 
+    m, k and the energy (which gives q) are read from the table's columns.
     A row is J_m(kr) inside the step and the matched tail
     J_m(kR) Z_m(qr)/Z_m(qR) outside, with Z = K for bound modes (evanescent
     exterior) and Z = H^(1) for resonances (outgoing exterior).  The rows are
@@ -232,52 +233,44 @@ def _profile_table(pot: PotentialSpec, modes, r, jobs: int = 1) -> np.ndarray:
     operations whatever its batch, so the table is bitwise the same for any
     ``jobs``.
     """
+    pot = table.pot
     r = np.asarray(r, dtype=float)
     inside = r <= pot.radius
     r_in, r_out = r[inside], r[~inside]
     col_in, col_out = np.flatnonzero(inside), np.flatnonzero(~inside)
-    m = np.array([mo.m for mo in modes], dtype=int)
-    k = np.array([complex(mo.k) for mo in modes], dtype=complex)
+    m, k, e = table.m[rows], table.k[rows], table.energy[rows]
     real_k = k.imag == 0.0
-    # q per mode from the scalar expression (array arithmetic for e rounds
-    # differently in the last bit); real for the evanescent (K) rows
-    q = np.empty(len(modes), dtype=complex)
-    evanescent = np.empty(len(modes), dtype=bool)
-    for i, kc in enumerate(k.tolist()):
-        e = pot.hbar**2 * kc * kc / (2.0 * pot.mass)
-        evanescent[i] = e.real < pot.v0
-        if evanescent[i]:
-            q[i] = complex(np.sqrt(2.0 * pot.mass * (pot.v0 - e)) / pot.hbar).real
-        else:
-            q[i] = complex(np.sqrt(2.0 * pot.mass * (e - pot.v0)) / pot.hbar)
-    table = np.empty((len(modes), len(r)), dtype=complex)
+    # q from the energy column; real for the evanescent (K) rows
+    evanescent = e.real < pot.v0
+    q = np.sqrt(2.0 * pot.mass * np.where(evanescent, pot.v0 - e, e - pot.v0)) / pot.hbar
+    q = np.where(evanescent, q.real, q)
+    out = np.empty((len(m), len(r)), dtype=complex)
 
     # the last column, R, is the tails' edge value J_m(kR)
     r_j = np.append(r_in, pot.radius)
-    j_edge = np.empty(len(modes), dtype=complex)
+    j_edge = np.empty(len(m), dtype=complex)
 
-    def fill(rows):
-        for sel, kr in ((rows[real_k[rows]], k.real), (rows[~real_k[rows]], k)):
+    def fill(block):
+        for sel, kr in ((block[real_k[block]], k.real), (block[~real_k[block]], k)):
             j = cylinder._bessel_j(np.repeat(m[sel], len(r_j)), (kr[sel, None] * r_j).ravel())
             j = j.reshape(len(sel), len(r_j))
-            table[np.ix_(sel, col_in)] = j[:, :-1]
+            out[np.ix_(sel, col_in)] = j[:, :-1]
             j_edge[sel] = j[:, -1]
         for kind, ratio_array, qk in ((True, cylinder.bessel_k_ratio_array, q.real),
                                       (False, cylinder.hankel1_ratio_array, q)):
-            sel = rows[evanescent[rows] == kind]
+            sel = block[evanescent[block] == kind]
             if len(sel) and len(r_out):
                 ratio = ratio_array(m[sel], qk[sel, None] * r_out, qk[sel] * pot.radius)
-                table[np.ix_(sel, col_out)] = j_edge[sel, None] * ratio
+                out[np.ix_(sel, col_out)] = j_edge[sel, None] * ratio
 
-    blocks = np.array_split(np.arange(len(modes)),
-                            max(1, -(-table.size // PROFILE_BLOCK)))
+    blocks = np.array_split(np.arange(len(m)), max(1, -(-out.size // PROFILE_BLOCK)))
     if jobs > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             list(pool.map(fill, blocks))
     else:
-        for rows in blocks:
-            fill(rows)
-    return table
+        for block in blocks:
+            fill(block)
+    return out
 
 
 def _angular_coefficients(spec: PacketSpec, nodes, n_theta: int) -> np.ndarray:
@@ -326,29 +319,25 @@ def expand(spec: PacketSpec, table: ModeTable, threshold: float,
     half-width pass over their union; the result's ``quadrature`` records the
     node count, the nodes beyond R and the largest doubling residual.
     """
-    pot, modes = table.pot, table.modes
+    pot, m = table.pot, table.m
     lo, hi = _support_interval(spec)
-    k_fast = max([mo.k.real for mo in modes]
-                 + [spec.k0 + 6.0 * math.sqrt(spec.sigma / 2.0)])
-    m = np.array([mo.m for mo in modes], dtype=int)
+    k_fast = max(table.k.real.max(initial=0.0), spec.k0 + 6.0 * math.sqrt(spec.sigma / 2.0))
     band = max(4 * int(m.max(initial=0)) + 64, int(3.0 * k_fast * hi))
     n_theta = 1 << int(math.ceil(math.log2(band)))
 
-    def coefficients(panel, modes):
-        """Radial nodes, and per mode the coefficients of branches +m and -m."""
+    def coefficients(panel, rows):
+        """Radial nodes, and per table row the coefficients of branches +m and -m."""
         nodes, weights = _gauss_legendre_nodes(lo, hi, panel, pot.radius)
         hat = _angular_coefficients(spec, nodes, n_theta).T
-        weighted = _profile_table(pot, modes, nodes, jobs)
+        weighted = _profile_table(table, rows, nodes, jobs)
         weighted *= weights * nodes
-        order = np.array([mo.m for mo in modes], dtype=int)
-        norm = np.array([mo.norm for mo in modes], dtype=complex)
-        pre = math.sqrt(2.0 * np.pi) / np.sqrt(norm / np.pi)
+        order = m[rows]
+        pre = math.sqrt(2.0 * np.pi) / np.sqrt(table.norm[rows] / np.pi)
         return nodes, pre[:, None] * np.stack([np.einsum("in,in->i", weighted, hat[col])
                                                for col in (order, -order % n_theta)], 1)
 
-    nodes, coeff = coefficients(PANEL_WIDTH / k_fast, modes)
-    n = np.array([mo.n for mo in modes], dtype=int)
-    klass = np.array([mo.klass for mo in modes], dtype="U9")
+    nodes, coeff = coefficients(PANEL_WIDTH / k_fast, np.arange(len(table)))
+    n, klass = table.n, table.klass
     cut = threshold * OVERLAP_SCALE
     res_cut = cut if resonance_threshold is None else resonance_threshold * OVERLAP_SCALE
     branches = np.ones(coeff.shape, dtype=bool)
@@ -365,17 +354,17 @@ def expand(spec: PacketSpec, table: ModeTable, threshold: float,
 
     sample = _doubling_sample(exp)
     sample.update(_doubling_sample(exp.thresholded()))
-    sampled = {(m, n) for m, n, _ in sample}
-    wanted = [mo for mo in modes if (mo.m, mo.n) in sampled]
+    keys = np.array(list(sample), dtype=int).reshape(-1, 3)
+    at = table.rows(keys[:, 0], keys[:, 1])
+    wanted = np.unique(at)
     coeff2 = coefficients(0.5 * PANEL_WIDTH / k_fast, wanted)[1]
-    ref = {(mo.m, mo.n, 1 - 2 * j): coeff2[i, j]
-           for i, mo in enumerate(wanted) for j in (0, 1)}
-    for key, c in sample.items():
-        if abs(c - ref[key]) > 1.0e-8:
+    ref = coeff2[np.searchsorted(wanted, at), (1 - keys[:, 2]) // 2]
+    residuals = []
+    for key, c, c2 in zip(sample, sample.values(), ref):
+        residuals.append(float(abs(c - c2)))
+        if residuals[-1] > 1.0e-8:
             raise AccuracyError(
-                f"expansion quadrature not converged for mode {key}: "
-                f"{c} vs {ref[key]}")
-    residuals = [float(abs(c - ref[key])) for key, c in sample.items()]
+                f"expansion quadrature not converged for mode {key}: {c} vs {c2}")
     exp.quadrature = {"radial_nodes": len(nodes),
                       "radial_nodes_beyond_r": int(np.sum(nodes > pot.radius)),
                       "doubling_residual": max(residuals, default=None),
@@ -392,17 +381,15 @@ def _check_coverage(exp: Expansion, table: ModeTable, threshold: float) -> dict:
     largest Re k of the table's resonances).  A margin is 0 where no entry
     is next to the edge, and None where there is no edge or no threshold.
     """
-    m_lo, m_hi = table.m_values[0], table.m_values[-1]
+    m_lo, m_hi = int(table.m[0]), int(table.m[-1])
     edges = {"upper_m": (f"upper m edge (m = {m_hi})", np.abs(exp.m - m_hi) <= 1),
              "lower_m": (f"lower m edge (m = {m_lo})",
                          np.abs(exp.m - m_lo) <= 1 if m_lo > 0 else None),
              "resonance_k": ("resonance k edge", None)}
-    res_k = [mo.k.real for mo in table.modes if mo.klass != BOUND]
-    if res_k:
-        k_hi = max(res_k)
-        k_of = {(mo.m, mo.n): mo.k.real for mo in table.modes}
-        k_re = np.array([k_of.get(mn, -np.inf)
-                         for mn in zip(exp.m.tolist(), exp.n.tolist())])
+    resonance = table.klass != BOUND
+    if np.any(resonance):
+        k_hi = table.k.real[resonance].max()
+        k_re = table.k.real[table.rows(exp.m, exp.n)]
         edges["resonance_k"] = (f"resonance k edge ({k_hi:.3f})",
                                 (exp.klass != BOUND) & (k_hi - k_re <= np.pi / table.pot.radius))
     margins = {}
@@ -448,12 +435,14 @@ class FieldFrame:
 class FieldEvaluator:
     """Caches mode radial profiles; evaluates the field at any time or point.
 
-    Profiles are sampled once on a uniform radial grid by ``_profile_table``,
-    in row blocks of a few batched kernel calls each, filled on ``jobs``
-    threads (bitwise the same table for any ``jobs``).  A time snapshot
-    reduces the expansion to per-angular-frequency radial columns; polar
-    frames come out exactly on the grid (inverse FFT over theta), scattered
-    points via a cubic spline in r and exact phases in theta.
+    The expansion's entries are mapped to table rows by ``ModeTable.rows``;
+    the profiles of those rows are sampled once on a uniform radial grid by
+    ``_profile_table``, in row blocks of a few batched kernel calls each,
+    filled on ``jobs`` threads (bitwise the same table for any ``jobs``), and
+    scaled by the norm column.  A time snapshot reduces the expansion to
+    per-angular-frequency radial columns; polar frames come out exactly on
+    the grid (inverse FFT over theta), scattered points via a cubic spline in
+    r and exact phases in theta.
     """
 
     def __init__(self, expansion: Expansion, table: ModeTable,
@@ -466,19 +455,15 @@ class FieldEvaluator:
         self.r = np.linspace(r_max / nr, r_max, nr)
         self.theta = 2.0 * np.pi * np.arange(self.grid.ntheta) / self.grid.ntheta
 
-        by_id = {}
-        for mo in table.modes:
-            by_id[(mo.m, mo.n)] = mo
-        ids = expansion.mode_ids()
-        self._modes = [by_id[i] for i in ids]
-        self._row_of = {i: row for row, i in enumerate(ids)}
-        self._profiles = _profile_table(self.pot, self._modes, self.r, jobs)
-        for row, mo in enumerate(self._modes):
-            n_rad = mo.norm / np.pi
-            self._profiles[row] /= np.sqrt(n_rad) * math.sqrt(2.0 * np.pi)
-        self._energies = np.array([mo.energy for mo in self._modes])
-        self._entry_rows = np.array([self._row_of[(m, n)]
-                                     for m, n in zip(expansion.m, expansion.n)])
+        rows, self._entry_rows = np.unique(table.rows(expansion.m, expansion.n),
+                                           return_inverse=True)
+        self._profiles = _profile_table(table, rows, self.r, jobs)
+        # N_rad = norm/pi part by part, as the complex scalar division gives it
+        # (numpy's complex array division rounds differently)
+        n_rad = np.empty(len(rows), dtype=complex)
+        n_rad.real, n_rad.imag = table.norm[rows].real / np.pi, table.norm[rows].imag / np.pi
+        self._profiles /= (np.sqrt(n_rad) * math.sqrt(2.0 * np.pi))[:, None]
+        self._energies = table.energy[rows]
         self._mu = expansion.branch * expansion.m
 
     def snapshot(self, t_paper: float, s0: float) -> "FieldSnapshot":
@@ -551,10 +536,4 @@ def reconstruct(expansion: Expansion, table: ModeTable,
                 grid: GridSpec | None = None,
                 evaluator: FieldEvaluator | None = None) -> FieldFrame:
     """The expanded initial state on the grid (empty expansion: zero field)."""
-    if len(expansion) == 0:
-        ev = evaluator or FieldEvaluator(expansion, table, grid)
-        frame = FieldFrame(r=ev.r, theta=ev.theta,
-                           values=np.zeros((len(ev.r), len(ev.theta)), complex),
-                           time=0.0)
-        return frame
     return evolve(expansion, table, 0.0, 1.0, grid, evaluator)

@@ -220,15 +220,28 @@ class Workspace:
         return self.path(f"modes_{self.cfg.preset}.txt")
 
     def table(self, solve: bool = True) -> ModeTable:
+        """The modes file's table, else a solved one (``solve``); a file solved for
+        another potential or holding an m outside [m_lo, m_hi] is refused."""
         if self._table is None:
             if os.path.exists(self.modes_path):
-                self._table = ser.load_modes(self.modes_path)
+                self._table = self._checked(ser.load_modes(self.modes_path))
             elif solve:
                 self._table = self.solve_table()
             else:
                 raise CurvewaveError(
                     f"mode table {self.modes_path} missing; run 'modes' or pass --solve")
         return self._table
+
+    def _checked(self, table: ModeTable) -> ModeTable:
+        cfg = self.cfg
+        if table.pot != cfg.potential:
+            raise CurvewaveError(f"mode table {self.modes_path} was solved for {table.pot}, "
+                                 f"the config has {cfg.potential}")
+        outside = table.m[(table.m < cfg.m_lo) | (table.m > cfg.m_hi)]
+        if outside.size:
+            raise CurvewaveError(f"mode table {self.modes_path} holds m = {outside[0]}, "
+                                 f"outside the config's [{cfg.m_lo}, {cfg.m_hi}]")
+        return table
 
     def solve_table(self) -> ModeTable:
         cfg = self.cfg
@@ -471,34 +484,27 @@ def run_report(ws: Workspace, tolerance_scale: float = 1.0) -> dict:
             for k, v in PAPER_VALUES.get(cfg.preset, {}).items()}
     metrics = {}
     counts = run_expand(ws)
-    if "modes_total" in refs:
-        metrics["modes_total"] = _metric(counts["modes_total"], refs["modes_total"])
-    if "modes_bound" in refs:
-        metrics["modes_bound"] = _metric(counts["modes_bound"], refs["modes_bound"])
-    if "modes_tunneling" in refs:
-        metrics["modes_tunneling"] = _metric(counts["modes_tunneling"],
-                                             refs["modes_tunneling"])
+    for key in ("modes_total", "modes_bound", "modes_tunneling"):
+        if key in refs:
+            metrics[key] = _metric(counts[key], refs[key])
     if cfg.preset in ("A", "B"):
         gh = run_gh(ws)
         for key in ("l_gh", "chi_r_factor", "theory_l_gh", "theory_delay_s0"):
             metrics[key] = _metric(gh[key], refs[key])
     if cfg.preset == "B":
         hus = run_husimi(ws)
-        metrics["delta_predicted"] = _metric(hus["delta_predicted"],
-                                             refs["delta_predicted"])
-        metrics["delta"] = _metric(hus.get("delta"), refs["delta"])
-        metrics["alpha_t"] = _metric(hus.get("alpha_t"), refs["alpha_t"])
-        metrics["delay_star_s0"] = _metric(hus.get("delay_star_s0"),
-                                           refs["delay_star_s0"])
+        for key in ("delta_predicted", "delta", "alpha_t", "delay_star_s0"):
+            metrics[key] = _metric(hus.get(key), refs[key])
         cents = hus["exterior_centroids"]
         for t, tag in ((cfg.husimi_times[0], "t7.5"), (cfg.husimi_times[1], "t10")):
             cx, cy = cents[str(t)]
             metrics[f"centroid_x_{tag}"] = _metric(cx, refs[f"centroid_x_{tag}"])
             metrics[f"centroid_y_{tag}"] = _metric(cy, refs[f"centroid_y_{tag}"])
-        res = [mo for mo in ws.table().by_m(120)
-               if abs(mo.k.real - 113.0) < 0.5 and mo.klass != BOUND]
-        if res:
-            k = res[0].k
+        table = ws.table()
+        res = np.flatnonzero((table.m == 120) & (np.abs(table.k.real - 113.0) < 0.5)
+                             & (table.klass != BOUND))
+        if res.size:
+            k = complex(table.k[res[0]])
             metrics["resonance_re_k"] = _metric(k.real, refs["resonance_re_k"])
             ratio = abs(k.imag) / abs(refs["resonance_im_k"][0])
             metrics["resonance_im_k"] = {
@@ -507,14 +513,9 @@ def run_report(ws: Workspace, tolerance_scale: float = 1.0) -> dict:
                 "pass": bool(1.0 / 3.0 <= ratio <= 3.0)}
     if cfg.preset in ("C", "D"):
         fr = run_fractions(ws)
-        if cfg.preset == "C":
-            metrics["interior_fraction"] = _metric(fr["interior_fraction"],
-                                                   refs["interior_fraction"])
-            metrics["transmission_deg"] = _metric(fr.get("transmission_deg"),
-                                                  refs["transmission_deg"])
-        else:
-            metrics["transmitted_fraction"] = _metric(fr["transmitted_fraction"],
-                                                      refs["transmitted_fraction"])
+        for key in ("interior_fraction", "transmission_deg", "transmitted_fraction"):
+            if key in refs:
+                metrics[key] = _metric(fr.get(key), refs[key])
     report = {"preset": cfg.preset, "metrics": metrics,
               "all_pass": all(m["pass"] for m in metrics.values())}
     ser.write_json(ws.path(f"report_{cfg.preset}.json"), report)

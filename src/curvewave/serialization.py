@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from contextlib import contextmanager
 
 import numpy as np
@@ -49,19 +50,17 @@ def save_modes(path, table) -> None:
         f.write(f"{MODES_MAGIC} R={fmt(pot.radius)} V0={fmt(pot.v0)} "
                 f"mstar={fmt(pot.mass)} hbar={fmt(pot.hbar)}\n")
         f.write("# m n re_k im_k re_norm im_norm re_c im_c class\n")
-        for mo in table.modes:
-            f.write(" ".join([
-                str(mo.m), str(mo.n),
-                fmt(mo.k.real), fmt(mo.k.imag),
-                fmt(mo.norm.real), fmt(mo.norm.imag),
-                fmt(mo.c.real), fmt(mo.c.imag),
-                mo.klass,
-            ]) + "\n")
+        for m, n, k, norm, c, klass in zip(
+                table.m.tolist(), table.n.tolist(), table.k.tolist(),
+                table.norm.tolist(), table.c.tolist(), table.klass.tolist()):
+            f.write(f"{m} {n} {fmt(k.real)} {fmt(k.imag)} {fmt(norm.real)} "
+                    f"{fmt(norm.imag)} {fmt(c.real)} {fmt(c.imag)} {klass}\n")
 
 
 def load_modes(path):
-    """Inverse of save_modes; energy/gamma are recomputed from k."""
-    from .spectrum import EigenMode, ModeTable
+    """Inverse of save_modes; the table derives energy, gamma and class from
+    (m, k), and a class column that disagrees is refused."""
+    from .spectrum import ModeTable
 
     with open(path) as f:
         header = f.readline().rstrip("\n")
@@ -70,20 +69,13 @@ def load_modes(path):
         fields = dict(tok.split("=") for tok in header[len(MODES_MAGIC):].split())
         pot = PotentialSpec(radius=float(fields["R"]), v0=float(fields["V0"]),
                             mass=float(fields["mstar"]), hbar=float(fields["hbar"]))
-        modes = []
-        for line in f:
-            if not line.strip() or line.startswith("#"):
-                continue
-            toks = line.split()
-            m, n = int(toks[0]), int(toks[1])
-            k = complex(float(toks[2]), float(toks[3]))
-            norm = complex(float(toks[4]), float(toks[5]))
-            c = complex(float(toks[6]), float(toks[7]))
-            energy = complex(pot.hbar**2 * k * k / (2.0 * pot.mass))
-            gamma = max(0.0, -2.0 * energy.imag)
-            modes.append(EigenMode(m=m, n=n, k=k, energy=energy, gamma=gamma,
-                                   c=c, norm=norm, klass=toks[8]))
-    return ModeTable(pot=pot, modes=modes, diagnostics=[])
+        cols = np.array(re.sub(r"(?m)^#.*", "", f.read()).split()).reshape(-1, 9)
+    # (re, im) column pairs viewed as complex k, norm, c: no rounding
+    k, norm, c = cols[:, 2:8].astype(float).view(complex).T
+    table = ModeTable(pot, cols[:, 0].astype(int), cols[:, 1].astype(int), k, norm, c, [])
+    if not np.array_equal(table.klass, cols[:, 8]):
+        raise CurvewaveError(f"mode table {path}: class column disagrees with k")
+    return table
 
 
 def save_expansion(path, expansion, packet) -> None:

@@ -23,18 +23,17 @@ elements, K and H^(1) mixed.
    scanned again at half, a quarter and an eighth of the step;
 3. resonances: the local minima of |characteristic| on the real axis seed
    one batched damped complex Newton iteration with a secant fallback;
-4. the mode records (class, norm, amplitude ratio) come from one more
-   kernel pass over all roots.
+4. one more kernel pass over all roots gives the norms and amplitude ratios
+   of the ``ModeTable``, the column store every later stage reads.
 
 Every element goes through the same elementwise operations whatever batch it
 sits in, so a window solve and per-m solves give bitwise equal modes.
 ``find_bound_modes``, ``find_resonances``, ``characteristic`` and
-``mode_norm`` are one-m calls of the same batch.
+``mode_norm`` are one-m calls of the same batch, on ``EigenMode`` records.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +61,8 @@ _GRID_CHUNK = 2048
 
 @dataclass(frozen=True)
 class EigenMode:
-    """One (m, n) solution of the matching problem.
+    """One (m, n) solution of the matching problem: the record view of one
+    ``ModeTable`` row, as the one-m functions return it.
 
     ``k`` is the complex wavenumber, ``energy = hbar^2 k^2 / 2 m*``,
     ``gamma = -2 Im(energy) >= 0``.  ``c`` is the exterior/interior amplitude
@@ -186,12 +186,6 @@ def characteristic(pot: PotentialSpec, m: int, k):
     return (mt.g / mt.scale).reshape(ks.shape)
 
 
-def characteristic_deriv(pot: PotentialSpec, m: int, k) -> complex:
-    """Analytic d/dk of the (unscaled) ratio-form characteristic."""
-    mt = _matching(pot, [m], [complex(k)])
-    return complex(mt.dg[0] / mt.scale[0])
-
-
 def _norms(pot: PotentialSpec, mt: _Match):
     """Closed-form inner products (angular factor pi included).
 
@@ -216,29 +210,14 @@ def _amplitude_ratios(mt: _Match):
         return np.where(ln_mag > 709.0, np.inf, mt.Z / mt.J * np.exp(mt.log_scale))
 
 
-def _mode_records(pot: PotentialSpec, m, n, k) -> list[EigenMode]:
-    """EigenMode records of the roots (m_i, n_i, k_i), from one kernel pass."""
-    if not len(k):
-        return []
+def _solved_table(pot: PotentialSpec, m, n, k, diagnostics) -> ModeTable:
+    """Table of the roots (m_i, n_i, k_i); norms and ratios from one kernel pass."""
     mt = _matching(pot, m, k)
-    norms = _norms(pot, mt)
-    ratios = _amplitude_ratios(mt)
-    modes = []
-    for mi, ni, ki, norm, c in zip(m, n, k, norms, ratios):
-        ki = complex(ki)
-        energy = complex(pot.hbar**2 * ki * ki / (2.0 * pot.mass))
-        if ki.imag == 0.0 and ki.real < pot.k_step:
-            klass = BOUND
-        elif ki.real < pot.k_top(mi):
-            klass = TUNNELING
-        else:
-            klass = LEAKY
-        # + 0.0 turns the -0.0 imaginary part of a real value into 0.0
-        modes.append(EigenMode(m=int(mi), n=int(ni), k=ki, energy=energy,
-                               gamma=max(0.0, -2.0 * energy.imag),
-                               c=complex(c.real, c.imag + 0.0),
-                               norm=complex(norm.real, norm.imag + 0.0), klass=klass))
-    return modes
+    norm, c = _norms(pot, mt), _amplitude_ratios(mt)
+    # + 0.0 turns the -0.0 imaginary part of a real value into 0.0
+    norm.imag += 0.0
+    c.imag += 0.0
+    return ModeTable(pot, m, n, k, norm, c, diagnostics)
 
 
 def mode_norm(mode: EigenMode, pot: PotentialSpec) -> complex:
@@ -383,7 +362,7 @@ def find_bound_modes(pot: PotentialSpec, m: int) -> list[EigenMode]:
     against the Sturm census.
     """
     roots = _bound_roots(pot, [m])[m]
-    return _mode_records(pot, [m] * len(roots), range(1, len(roots) + 1), roots)
+    return _solved_table(pot, [m] * len(roots), range(1, len(roots) + 1), roots, []).modes
 
 
 def _newton(pot: PotentialSpec, m, k0, max_step: float):
@@ -500,12 +479,10 @@ def find_resonances(pot: PotentialSpec, m: int, window, n_start: int | None = No
     if diagnostics is not None:
         diagnostics.extend(diags)
     roots = roots[m]
-    if not roots:
-        return []
     if n_start is None:
         n_start = count_bound_sturm(pot, m) + 1
-    return _mode_records(pot, [m] * len(roots), range(n_start, n_start + len(roots)),
-                         roots)
+    return _solved_table(pot, [m] * len(roots), range(n_start, n_start + len(roots)),
+                         roots, []).modes
 
 
 def delta_j(mode: EigenMode, pot: PotentialSpec) -> float:
@@ -519,39 +496,86 @@ def delta_j(mode: EigenMode, pot: PotentialSpec) -> float:
     if e <= pot.v0:
         raise DomainError(
             f"delta_j needs Re E > V0; mode (m={mode.m}, n={mode.n}) has Re E = {e}")
-    kout = math.sqrt(2.0 * pot.mass * (e - pot.v0)) / pot.hbar
-    return mode.m / kout - pot.radius
+    return float(_image_distance(pot, mode.m, e))
 
 
-@dataclass
+def _image_distance(pot: PotentialSpec, m, e):
+    """m / k_out - R with k_out = sqrt(2m* (e - V0))/hbar, for scalars or arrays."""
+    return m / (np.sqrt(2.0 * pot.mass * (e - pot.v0)) / pot.hbar) - pot.radius
+
+
+def _derived_columns(pot: PotentialSpec, m, k):
+    """(energy, gamma, klass) of the rows (m_i, k_i), see ``EigenMode``.
+
+    By the float operations of the complex scalar expressions: numpy's
+    complex array arithmetic rounds some of them differently in the last bit.
+    """
+    h2k = pot.hbar**2 * k.real, pot.hbar**2 * k.imag
+    energy = np.empty(k.shape, dtype=complex)
+    energy.real = (h2k[0] * k.real - h2k[1] * k.imag) / (2.0 * pot.mass)
+    energy.imag = (h2k[0] * k.imag + h2k[1] * k.real) / (2.0 * pot.mass)
+    gamma = -2.0 * energy.imag
+    orders, at = np.unique(m, return_inverse=True)
+    k_top = np.array([pot.k_top(int(mi)) for mi in orders])[at]
+    klass = np.where((k.imag == 0.0) & (k.real < pot.k_step), BOUND,
+                     np.where(k.real < k_top, TUNNELING, LEAKY))
+    return energy, np.where(gamma > 0.0, gamma, 0.0), klass
+
+
+#: row key m * _KEY_STRIDE + n, increasing along rows sorted by (m, n)
+_KEY_STRIDE = 1 << 32
+
+
 class ModeTable:
-    """Solved modes for a set of angular momenta, sorted by (m, n)."""
+    """Solved modes as columns strictly sorted by (m, n), with an m -> slice index.
 
-    pot: PotentialSpec
-    modes: list
-    diagnostics: list
+    The columns (see ``EigenMode``) are ``m``, ``n``, ``k``, ``norm`` and ``c``
+    as given and ``energy``, ``gamma`` and ``klass`` derived from (m, k).
+    ``modes`` and ``by_m`` are the record view, built on first use.
+    """
 
-    def __post_init__(self):
-        self.modes = sorted(self.modes, key=lambda mo: (mo.m, mo.n))
-        self._by_m = {}
-        for mo in self.modes:
-            self._by_m.setdefault(mo.m, []).append(mo)
+    def __init__(self, pot: PotentialSpec, m, n, k, norm, c, diagnostics):
+        self.pot, self.diagnostics = pot, list(diagnostics)
+        self.m, self.n = np.asarray(m, dtype=int), np.asarray(n, dtype=int)
+        self.k, self.norm, self.c = (np.asarray(x, dtype=complex) for x in (k, norm, c))
+        self._keys = self.m * _KEY_STRIDE + self.n
+        if np.any(np.diff(self.m) < 0) or np.any(np.diff(self._keys) <= 0):
+            raise DomainError("mode table rows are not strictly sorted by (m, n)")
+        self.energy, self.gamma, self.klass = _derived_columns(pot, self.m, self.k)
+        orders, starts = np.unique(self.m, return_index=True)
+        ends = starts[1:].tolist() + [len(self)]
+        self._slices = {m: slice(a, b) for m, a, b in zip(orders.tolist(), starts.tolist(), ends)}
+        self._modes = None
 
-    def by_m(self, m: int) -> list:
-        return list(self._by_m.get(m, []))
+    def rows(self, m, n) -> np.ndarray:
+        """Row indices of the pairs (m_i, n_i); KeyError on a pair the table lacks."""
+        m, n = np.asarray(m, dtype=int), np.asarray(n, dtype=int)
+        at = np.searchsorted(self._keys, m * _KEY_STRIDE + n)
+        found = at < len(self)
+        found[found] = (self.m[at[found]] == m[found]) & (self.n[at[found]] == n[found])
+        if not np.all(found):
+            i = np.argmin(found)
+            raise KeyError((int(m[i]), int(n[i])))
+        return at
 
     @property
-    def m_values(self):
-        return sorted(self._by_m)
+    def modes(self) -> list:
+        """Every row as an EigenMode record."""
+        if self._modes is None:
+            self._modes = [EigenMode(*row) for row in zip(
+                self.m.tolist(), self.n.tolist(), self.k.tolist(), self.energy.tolist(),
+                self.gamma.tolist(), self.c.tolist(), self.norm.tolist(),
+                self.klass.tolist())]
+        return self._modes
+
+    def by_m(self, m: int) -> list:
+        return self.modes[self._slices[m]] if m in self._slices else []
 
     def __len__(self):
-        return len(self.modes)
+        return len(self.m)
 
     def counts(self):
-        out = {BOUND: 0, TUNNELING: 0, LEAKY: 0}
-        for mo in self.modes:
-            out[mo.klass] += 1
-        return out
+        return {klass: int(np.sum(self.klass == klass)) for klass in (BOUND, TUNNELING, LEAKY)}
 
 
 def build_mode_table(pot: PotentialSpec, m_values, resonance_k_max: float,
@@ -576,5 +600,4 @@ def build_mode_table(pot: PotentialSpec, m_values, resonance_k_max: float,
         ms += [m] * len(roots)
         ns += range(1, len(roots) + 1)
         ks += roots
-    return ModeTable(pot=pot, modes=_mode_records(pot, ms, ns, ks),
-                     diagnostics=diagnostics)
+    return _solved_table(pot, ms, ns, ks, diagnostics)

@@ -26,7 +26,7 @@ def _named(path):
     return out
 
 
-@pytest.mark.parametrize("module", ["cylinder.py", "barrier1d.py"])
+@pytest.mark.parametrize("module", ["cylinder.py", "barrier1d.py", "spectrum.py"])
 def test_public_functions_have_callers_outside_tests(module):
     tree = ast.parse((PACKAGE / module).read_text())
     public = [node.name for node in tree.body

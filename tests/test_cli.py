@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from curvewave import scenarios
 from curvewave.cli import main
+from curvewave.errors import CurvewaveError
 from curvewave.potential import PotentialSpec
 from curvewave.serialization import load_modes
 from curvewave.spectrum import build_mode_table
@@ -193,7 +194,7 @@ def test_modes_writes_solver_diagnostics(tmp_path, capsys):
     assert main(["modes", "--preset", "B", "--m-min", "197", "--m-max", "203",
                  "--out", str(tmp_path)]) == 0
     table = load_modes(tmp_path / "modes_B.txt")
-    assert table.m_values == list(range(197, 204))
+    assert np.unique(table.m).tolist() == list(range(197, 204))
     text = (tmp_path / "diagnostics_B.json").read_text()
     diags = json.loads(text)
     assert [d["m"] for d in diags] == list(range(197, 204))
@@ -202,3 +203,18 @@ def test_modes_writes_solver_diagnostics(tmp_path, capsys):
     pot = scenarios.preset_config("B").potential
     want = build_mode_table(pot, range(197, 204), resonance_k_max=130.0)
     assert diags == want.diagnostics
+
+
+def test_workspace_refuses_stale_mode_table(tmp_path):
+    # a modes file solved for another potential, or holding an m outside the
+    # config's window, is refused instead of reused
+    cfg = replace(scenarios.preset_config("B"), m_lo=118, m_hi=122, resonance_k_max=105.0)
+    solved = scenarios.Workspace(cfg, tmp_path).solve_table()
+    wider = replace(cfg, m_lo=100, m_hi=130)
+    assert scenarios.Workspace(wider, tmp_path).table().modes == solved.modes
+    stale = replace(cfg, potential=PotentialSpec(v0=3000.0))
+    with pytest.raises(CurvewaveError, match=r"modes_B\.txt was solved for .*v0=5000\.0"
+                                             r".*v0=3000\.0"):
+        scenarios.Workspace(stale, tmp_path).table()
+    with pytest.raises(CurvewaveError, match=r"holds m = 122, outside .*\[118, 121\]"):
+        scenarios.Workspace(replace(cfg, m_hi=121), tmp_path).table()

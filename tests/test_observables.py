@@ -7,7 +7,13 @@ from curvewave import observables as obs
 from curvewave.errors import (DomainError, FitQualityError, RangeError,
                               UndefinedCentroidError)
 from curvewave.packet import Expansion, FieldEvaluator, FieldFrame, GridSpec, PacketSpec
-from curvewave.spectrum import ModeTable, delta_j, find_resonances
+from curvewave.spectrum import BOUND, build_mode_table, delta_j
+
+
+def _resonances_120(pot, lo, hi):
+    """The m = 120 table up to Re k = hi, and its resonances from Re k = lo."""
+    table = build_mode_table(pot, [120], resonance_k_max=hi)
+    return table, [mo for mo in table.modes if mo.klass != BOUND and mo.k.real >= lo]
 
 
 def synthetic_frame(fn, r_max=4.0, nr=500, ntheta=256):
@@ -143,8 +149,7 @@ def test_husimi_range_error():
 
 
 def test_single_mode_husimi_gap(pot):
-    mo = find_resonances(pot, 120, (112.5, 113.5))[0]
-    table = ModeTable(pot=pot, modes=[mo], diagnostics=[])
+    table, (mo,) = _resonances_120(pot, 112.5, 113.5)
     exp = Expansion([mo.m], [mo.n], [-1], [1.0 + 0j], [mo.klass], 0.0)
     ev = FieldEvaluator(exp, table, GridSpec(r_max=8.7, nr=2000, ntheta=1024))
     snap = ev.snapshot(0.0, 1.0)
@@ -168,8 +173,7 @@ def _husimi_curves(field_by_time, alphas, d_grid, h_grid):
 
 
 def test_husimi_contraction_matches_per_angle_scan(pot):
-    res = find_resonances(pot, 120, (112.5, 115.5))
-    table = ModeTable(pot=pot, modes=list(res), diagnostics=[])
+    table, res = _resonances_120(pot, 112.5, 115.5)
     exp = Expansion([r.m for r in res], [r.n for r in res], [-1] * len(res),
                     [1.0 + 0.2j * i for i in range(len(res))],
                     [r.klass for r in res], 0.0)
@@ -271,9 +275,8 @@ def test_tunneling_direction_mirror_flip():
 
 
 def test_delta_predicted_degenerate_and_scaling(pot):
-    res = find_resonances(pot, 120, (112.5, 115.5))
+    table, res = _resonances_120(pot, 112.5, 115.5)
     mo = res[0]
-    table = ModeTable(pot=pot, modes=list(res), diagnostics=[])
     single = Expansion([mo.m], [mo.n], [-1], [0.37 - 0.1j], [mo.klass], 0.0)
     assert obs.delta_predicted(single, table, pot) == pytest.approx(
         delta_j(mo, pot), rel=1e-12)

@@ -1,6 +1,5 @@
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from curvewave import cylinder, packet
 from curvewave.errors import AccuracyError, CoverageError, DomainError
 from curvewave.packet import (Expansion, FieldEvaluator, GridSpec, PacketSpec,
                               evolve, expand, gaussian_free, reconstruct)
-from curvewave.spectrum import BOUND, build_mode_table
+from curvewave.spectrum import BOUND, ModeTable, build_mode_table
 
 
 def test_packet_geometry_packet_a():
@@ -88,13 +87,13 @@ def test_threaded_tabulation_matches_serial_bitwise(deep_packet, small_table,
     assert np.array_equal(snaps[0].polar_frame().values, snaps[1].polar_frame().values)
 
     # more threads than cores, switching as often as the interpreter allows
-    modes = small_table.modes[::4]
+    rows = np.arange(0, len(small_table), 4)
     r = np.linspace(0.01, 4.0, 300)
-    serial = packet._profile_table(small_table.pot, modes, r, jobs=1)
+    serial = packet._profile_table(small_table, rows, r, jobs=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = packet._profile_table(small_table.pot, modes, r, jobs=5)
+        threaded = packet._profile_table(small_table, rows, r, jobs=5)
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(serial, threaded)
@@ -141,14 +140,13 @@ def test_profile_table_blocks_match_per_row_oracle(small_table, monkeypatch):
     # against mpmath reaches 2e-13 of a row's largest value near the turning
     # point, so they agree to that; the table is bitwise the same for any jobs
     pot = small_table.pot
-    modes = [mo for i, mo in enumerate(small_table.modes)
-             if i % 8 == 0 or mo.klass != BOUND]
+    rows = np.flatnonzero((np.arange(len(small_table)) % 8 == 0)
+                          | (small_table.klass != BOUND))
     r = np.append(np.linspace(0.01, 9.0, 160), pot.radius)
-    oracle = _profile_rows_oracle(pot, modes, r)
+    oracle = _profile_rows_oracle(pot, [small_table.modes[i] for i in rows], r)
 
-    m = np.array([mo.m for mo in modes])
-    k = np.array([complex(mo.k) for mo in modes])
-    resonance = np.array([mo.klass != BOUND for mo in modes])
+    m, k = small_table.m[rows], small_table.k[rows]
+    resonance = small_table.klass[rows] != BOUND
     assert np.any(resonance) and not np.all(resonance)
     assert np.any(resonance & (k.imag == 0.0)) and np.any(k.imag != 0.0)
     assert np.any(r < pot.radius) and np.any(r > pot.radius)
@@ -156,14 +154,14 @@ def test_profile_table_blocks_match_per_row_oracle(small_table, monkeypatch):
     assert np.min(q.imag) * r.max() < -4.0
     n_blocks = -(-oracle.size // packet.PROFILE_BLOCK)
     starts = np.cumsum([len(b) for b in
-                        np.array_split(np.arange(len(modes)), n_blocks)])[:-1]
+                        np.array_split(np.arange(len(rows)), n_blocks)])[:-1]
     assert n_blocks > 1 and np.any(m[starts - 1] == m[starts])
 
-    table = packet._profile_table(pot, modes, r, 1)
+    table = packet._profile_table(small_table, rows, r, 1)
     envelope = np.max(np.abs(oracle), axis=1, keepdims=True)
     assert np.all(np.abs(table - oracle) <= 2e-13 * envelope)
     for jobs in (2, 5):
-        assert np.array_equal(packet._profile_table(pot, modes, r, jobs), table), jobs
+        assert np.array_equal(packet._profile_table(small_table, rows, r, jobs), table), jobs
 
     # continuity at R: with the tail ratios set to 1, the value just above R
     # is the tails' edge value J_m(kR), which comes from the same kernel and
@@ -173,7 +171,8 @@ def test_profile_table_blocks_match_per_row_oracle(small_table, monkeypatch):
 
     monkeypatch.setattr(cylinder, "bessel_k_ratio_array", unit)
     monkeypatch.setattr(cylinder, "hankel1_ratio_array", unit)
-    edge = packet._profile_table(pot, modes, [pot.radius, np.nextafter(pot.radius, 3.0)])
+    edge = packet._profile_table(small_table, rows,
+                                 [pot.radius, np.nextafter(pot.radius, 3.0)])
     assert np.array_equal(edge[:, 1], edge[:, 0])
 
 
@@ -181,10 +180,11 @@ def test_profile_table_calls_per_block(small_table, monkeypatch):
     # the exterior tails take at most one K and one H^(1) ratio call per
     # block, however many orders the block holds: the same rows with one
     # order make exactly as many calls
-    pot = small_table.pot
-    modes = [mo for mo in small_table.modes if 5 <= mo.m < 65][::3]
-    assert len({mo.m for mo in modes}) >= 50
-    one_order = [replace(mo, m=40) for mo in modes]
+    t = small_table
+    rows = np.flatnonzero((t.m >= 5) & (t.m < 65))[::3]
+    assert len(np.unique(t.m[rows])) >= 50
+    one_order = ModeTable(t.pot, np.full(len(rows), 40), np.arange(1, len(rows) + 1),
+                          t.k[rows], t.norm[rows], t.c[rows], [])
     r = np.linspace(0.5, 4.0, 120)
     calls = []
     real_pairs = cylinder._exterior_pairs
@@ -195,13 +195,56 @@ def test_profile_table_calls_per_block(small_table, monkeypatch):
 
     monkeypatch.setattr(cylinder, "_exterior_pairs", counted)
     counts = []
-    for rows in (modes, one_order):
+    for table, at in ((t, rows), (one_order, np.arange(len(rows)))):
         calls.clear()
-        packet._profile_table(pot, rows, r, jobs=2)
+        packet._profile_table(table, at, r, jobs=2)
         counts.append(len(calls))
-    n_blocks = -(-len(modes) * len(r) // packet.PROFILE_BLOCK)
+    n_blocks = -(-len(rows) * len(r) // packet.PROFILE_BLOCK)
     assert 0 < counts[0] <= 2 * n_blocks
     assert counts[0] == counts[1]
+
+
+def test_profile_q_and_evaluator_norms_match_scalar_forms(table_b, expansion_b_evolution,
+                                                          monkeypatch):
+    # the tails' q comes from the energy column and the evaluator scales each
+    # row by sqrt(2 pi norm/pi); both equal the complex scalar expressions
+    # they replaced, bitwise, on every row of table B
+    t = table_b
+    pot = t.pot
+    q_scalar = np.empty(len(t), dtype=complex)
+    evanescent = np.empty(len(t), dtype=bool)
+    for i, kc in enumerate(t.k.tolist()):
+        e = pot.hbar**2 * kc * kc / (2.0 * pot.mass)
+        evanescent[i] = e.real < pot.v0
+        if evanescent[i]:
+            q_scalar[i] = complex(np.sqrt(2.0 * pot.mass * (pot.v0 - e)) / pot.hbar).real
+        else:
+            q_scalar[i] = complex(np.sqrt(2.0 * pot.mass * (e - pot.v0)) / pot.hbar)
+    edge_args = {}
+
+    def spy(kind):
+        def ratio(m, z, z_ref):
+            edge_args[kind] = z_ref
+            return np.ones(np.shape(z))
+        return ratio
+
+    monkeypatch.setattr(cylinder, "bessel_k_ratio_array", spy(True))
+    monkeypatch.setattr(cylinder, "hankel1_ratio_array", spy(False))
+    # one radius: a single block, so one call per kind over all its rows
+    packet._profile_table(t, np.arange(len(t)), [pot.radius + 0.5])
+    assert np.any(evanescent) and not np.all(evanescent)
+    for kind in (True, False):
+        assert np.array_equal(edge_args[kind], q_scalar[evanescent == kind] * pot.radius)
+    monkeypatch.undo()
+
+    exp = expansion_b_evolution
+    ev = FieldEvaluator(exp, t, GridSpec(r_max=3.0, nr=40, ntheta=64))
+    used = np.unique(t.rows(exp.m, exp.n))
+    raw = packet._profile_table(t, used, ev.r)
+    for row, i in enumerate(used.tolist()):
+        mo = t.modes[i]
+        raw[row] /= np.sqrt(mo.norm / np.pi) * math.sqrt(2.0 * np.pi)
+    assert np.array_equal(ev._profiles, raw)
 
 
 def test_one_pass_cuts_match_separate_expansions(deep_packet, small_table,
@@ -225,14 +268,13 @@ def test_one_pass_cuts_match_separate_expansions(deep_packet, small_table,
     tabulated = []
     real_table = packet._profile_table
 
-    def skewed(pot, modes, r, jobs=1):
-        table = real_table(pot, modes, r, jobs)
-        if len(modes) < len(small_table):          # the doubled pass
-            tabulated.extend((mo.m, mo.n) for mo in modes)
-            for row, mo in enumerate(modes):
-                if (mo.m, mo.n) == target:
-                    table[row] *= 1.001
-        return table
+    def skewed(table, rows, r, jobs=1):
+        out = real_table(table, rows, r, jobs)
+        if len(rows) < len(small_table):           # the doubled pass
+            ids = list(zip(table.m[rows].tolist(), table.n[rows].tolist()))
+            tabulated.extend(ids)
+            out[ids.index(target)] *= 1.001
+        return out
 
     monkeypatch.setattr(packet, "_profile_table", skewed)
     with pytest.raises(AccuracyError, match=rf"mode \({target[0]}, {target[1]},"):
@@ -304,10 +346,8 @@ def test_expansion_matches_closed_form_projection(deep_packet, small_table,
     # exterior tail replaces J_m beyond R: that correction is a quadrature
     # over [R, hi] against the closed-form angular coefficient psi_mu(r).
     spec, exp = deep_packet, deep_expansion
-    by_id = {(mo.m, mo.n): mo for mo in small_table.modes}
-    modes = [by_id[mn] for mn in zip(exp.m.tolist(), exp.n.tolist())]
-    k = np.array([complex(mo.k) for mo in modes])
-    norm = np.array([mo.norm for mo in modes])
+    rows = small_table.rows(exp.m, exp.n)
+    k, norm = small_table.k[rows], small_table.norm[rows]
     m, mu = exp.m, exp.branch * exp.m
     t = spec.t0
     denom = 1.0 + 1j * spec.sigma * t
@@ -333,7 +373,7 @@ def test_expansion_matches_closed_form_projection(deep_packet, small_table,
     mu_values, mu_row = np.unique(mu, return_inverse=True)
     psi_mu = _ring_coefficient(log_ring[None, :], v_ring[:, None, :],
                                mu_values[:, None])[mu_row]
-    tail = packet._profile_table(small_table.pot, modes, r)
+    tail = packet._profile_table(small_table, rows, r)
     interior = special.jv(m[:, None], k[:, None] * r[None, :])
     correction = np.sum(w * r * (tail - interior) * psi_mu, axis=1)
     assert np.max(np.abs(correction)) > 1e-8     # the correction matters
@@ -395,10 +435,9 @@ def test_time_composition_on_bound_subspace(small_table, deep_expansion, deep_pa
     # evolving by t1 then rephasing by t2 equals evolving by t1 + t2
     grid = GridSpec(r_max=4.0, nr=300, ntheta=256)
     t1, t2 = 0.6, 0.9
-    by_id = {(mo.m, mo.n): mo for mo in small_table.modes}
     tau2 = t2 * deep_packet.s0
-    phases = np.array([np.exp(-1j * by_id[(m, n)].energy * tau2)
-                       for m, n in zip(deep_expansion.m, deep_expansion.n)])
+    energy = small_table.energy[small_table.rows(deep_expansion.m, deep_expansion.n)]
+    phases = np.exp(-1j * energy * tau2)
     rephased = Expansion(deep_expansion.m, deep_expansion.n, deep_expansion.branch,
                          deep_expansion.coeff * phases, deep_expansion.klass,
                          deep_expansion.threshold)
@@ -445,13 +484,10 @@ def test_transmitted_lobe_bookkeeping(pot, packet_b, table_b, expansion_b_evolut
     # decay-rate estimate sum |b|^2 (1 - e^{-gamma tau}); the basis-
     # incompleteness floor of the truncated expansion caps the agreement
     exp = expansion_b_evolution
-    by_id = {(mo.m, mo.n): mo for mo in table_b.modes}
+    rows = table_b.rows(exp.m, exp.n)
     tau = 7.5 * packet_b.s0
-    est = 0.0
-    for m, n, coeff in zip(exp.m.tolist(), exp.n.tolist(), exp.coeff.tolist()):
-        mo = by_id[(m, n)]
-        if mo.klass != BOUND:
-            est += abs(coeff) ** 2 * (1.0 - math.exp(-mo.gamma * tau))
+    res = table_b.klass[rows] != BOUND
+    est = np.sum(np.abs(exp.coeff[res]) ** 2 * (1.0 - np.exp(-table_b.gamma[rows[res]] * tau)))
     ev = FieldEvaluator(exp, table_b, GridSpec(r_max=8.5, nr=1700, ntheta=1024))
     frame = ev.snapshot(7.5, packet_b.s0).polar_frame()
     from curvewave.observables import total_probability

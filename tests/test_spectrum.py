@@ -9,10 +9,9 @@ from curvewave import spectrum
 from curvewave.errors import ConvergenceError, DomainError
 from curvewave.potential import effective_potential
 from curvewave.serialization import load_modes, save_modes
-from curvewave.spectrum import (BOUND, LEAKY, TUNNELING, EigenMode,
-                                characteristic, characteristic_deriv,
-                                count_bound_sturm, delta_j, find_bound_modes,
-                                find_resonances, mode_norm)
+from curvewave.spectrum import (BOUND, LEAKY, TUNNELING, EigenMode, ModeTable,
+                                characteristic, count_bound_sturm, delta_j,
+                                find_bound_modes, find_resonances, mode_norm)
 
 # verified to 40 digits with an independent high-precision Newton iteration
 # on the same matching condition
@@ -135,9 +134,8 @@ def test_newton_derivative_matches_finite_difference(pot):
         # finite difference of the unnormalized ratio-form characteristic
         g1 = _g_and_deriv(pot, m, k + dk)[0]
         g0 = _g_and_deriv(pot, m, k - dk)[0]
-        g, dg, scale = _g_and_deriv(pot, m, k)
+        dg = _g_and_deriv(pot, m, k)[1]
         assert dg == pytest.approx((g1 - g0) / (2 * dk), rel=1e-5)
-        assert characteristic_deriv(pot, m, k) == pytest.approx(dg / scale, rel=1e-12)
 
 
 def test_mode_norm_bound_vs_quadrature(pot, table_a):
@@ -215,6 +213,42 @@ def test_classification_thresholds(pot, table_b):
             assert mo.k.real >= pot.k_top(mo.m) - 1e-9
         assert mo.gamma >= 0.0
         assert mo.k.real > pot.k_bottom(mo.m)
+
+
+def test_derived_columns_equal_scalar_expressions(pot, table_b):
+    # energy, gamma and class of every row, bitwise as the complex scalar
+    # expressions the per-mode records were built from
+    t = table_b
+    energy, gamma, klass = [], [], []
+    for m, k in zip(t.m.tolist(), t.k.tolist()):
+        e = complex(pot.hbar**2 * k * k / (2.0 * pot.mass))
+        energy.append(e)
+        gamma.append(max(0.0, -2.0 * e.imag))
+        if k.imag == 0.0 and k.real < pot.k_step:
+            klass.append(BOUND)
+        elif k.real < pot.k_top(m):
+            klass.append(TUNNELING)
+        else:
+            klass.append(LEAKY)
+    assert np.all(t.energy == np.array(energy))
+    assert np.all(t.gamma == np.array(gamma))
+    assert t.klass.tolist() == klass
+    assert set(klass) == {BOUND, TUNNELING, LEAKY}
+
+
+def test_rows_lookup_and_sorted_keys(pot, table_b):
+    t = table_b
+    pick = np.arange(0, len(t), 7)[::-1]
+    assert np.array_equal(t.rows(t.m[pick], t.n[pick]), pick)
+    assert t.rows([], []).size == 0
+    n_max = t.n[t.m == 120].max()
+    for m, n in ((120, n_max + 1), (47, 1), (204, 1), (120, 0)):
+        with pytest.raises(KeyError):
+            t.rows([120, m], [1, n])
+    for m, n in (([120, 120], [2, 1]), ([121, 120], [1, 2]), ([120, 120], [1, 1])):
+        k = t.k[t.rows(m, [1, 2])]
+        with pytest.raises(DomainError, match="not strictly sorted"):
+            ModeTable(pot, m, n, k, [1.0, 1.0], [0.0, 0.0], [])
 
 
 def test_delta_j_values(pot):
