@@ -6,12 +6,12 @@ Conventions used throughout the package:
   ``Z_{-1} = -Z_1`` for J/H and ``K_{-1} = K_1``),
 * derivatives are always formed from the order recurrences, never from
   finite differences,
-* the interior J_m of the profile tables comes from one private batched
-  function, ``_bessel_j``, over elements of any orders: one Miller backward
-  recurrence in the order, normalized by the Neumann sum rule, in place of
-  a per-point AMOS ``jv`` call.  The mode solver still takes J_m from
-  ``jv``: its many small batches would pay the recurrence's per-step
-  overhead.  This module has no scalar J, H^(1) or K wrappers,
+* every interior J comes from one private batched function, ``_bessel_j``,
+  over elements of any orders: one Miller backward recurrence in the order,
+  normalized by the Neumann sum rule, that keeps the pair (J_{m-1}, J_m) on
+  its way down, in place of per-point AMOS ``jv`` calls.  The profile tables
+  take J_m from it and the mode solver's matching kernel the pair.  This
+  module has no scalar J, H^(1) or K wrappers,
 * the exterior functions K_m and H^(1)_m, whose raw values overflow double
   precision in the deep-evanescent regime (|z| well below the order), come
   as the pair (Z_{m-1}, Z_m) with a log scale from one private batched
@@ -24,7 +24,8 @@ Conventions used throughout the package:
   real axis, for H^(1) (W. Gautschi, SIAM Rev. 9, 24 (1967)).  Far below the
   axis H^(1) turns minimal under the turning point, so there is one rule:
   where Im z < -4, H^(1) is taken directly at orders m-1 and m when both are
-  finite, and the recurrence value is kept where they overflow.
+  finite, and the recurrence value is kept where they overflow (callers that
+  use Z_m only skip the m-1 call where it cannot overflow).
 * everything exterior is built on that pair: ``bessel_k_logderiv``,
   ``hankel1_logderiv`` and ``hankel1_scaled`` are one-element calls, the
   array ratios ``bessel_k_ratio_array`` and ``hankel1_ratio_array`` (the
@@ -113,8 +114,8 @@ def eval_cylinder(kind: str, m: int, z) -> CylinderEval:
     """Z_m(z) and Z_m'(z) from the pipeline's kernels: the debug view.
 
     ``kind`` is one of ``"j"``, ``"h1"``, ``"k"``.  J_{m-1} and J_m come from
-    ``jv`` (on the real line for real z, as the mode solver takes them),
-    with log scale 0; H^(1) and K come from ``_exterior_pairs``, so both
+    ``_bessel_j`` (in float arithmetic for real z, as the mode solver takes
+    them), with log scale 0; H^(1) and K come from ``_exterior_pairs``, so both
     stay finite where the raw values overflow.  The derivative is formed
     from the pair, Z_m' = Z_{m-1} - (m/z) Z_m (K: K_m' = -K_{m-1} - (m/x) K_m).
     """
@@ -124,7 +125,7 @@ def eval_cylinder(kind: str, m: int, z) -> CylinderEval:
     m = _check_order(m)
     if kind == "j":
         z = complex(_check_argument(m, z))
-        lower, value = special.jv([m - 1, m], z.real if z.imag == 0.0 else z)
+        (lower,), (value,) = _bessel_j(m, np.array([z.real if z.imag == 0.0 else z]))
         # J_{m+1}(0) = 0, so J_m'(0) = (J_{m-1}(0) - J_{m+1}(0))/2 = J_{m-1}(0)/2
         deriv = 0.5 * lower if z == 0.0 else lower - (m / z) * value
         scale = 0.0
@@ -204,13 +205,14 @@ _MIN_ABS_J_ARG = 1.0e-50
 
 
 def _bessel_j(m, z):
-    """J_m(z) at every element of the 1-D ``z``, real or complex.
+    """(J_{m-1}(z), J_m(z)) at every element of the 1-D ``z``, real or complex.
 
-    ``m`` is one order, or one per element.  Miller's backward recurrence
-    (W. Gautschi, SIAM Rev. 9, 24 (1967)): each element starts from
+    ``m`` is one order, or one per element; J_{-1} = -J_1.  Miller's backward
+    recurrence (W. Gautschi, SIAM Rev. 9, 24 (1967)): each element starts from
     f_{N+1} = 0, f_N = 1 at the even order N >= M + 10 + 8 M^{1/3},
     M = max(m, |z|), runs f_{mu-1} = (2 mu/z) f_mu - f_{mu+1} down to
-    mu = 0, keeps f_m on the way, and is normalized by the Neumann sum rule
+    mu = 0, keeps f_m and f_{m-1} on the way, each with the scale it has
+    then, and is normalized by the Neumann sum rule
     J_0 + 2 sum_k J_{2k} = 1, which holds for complex z too.  For real z the
     sum's terms are at most 1; for complex z they reach e^{|Im z|}, so the
     rule costs a relative error of up to about e^{|Im z|} eps (9e-14 at
@@ -229,7 +231,8 @@ def _bessel_j(m, z):
     if np.any((z != 0) & (np.abs(z) < _MIN_ABS_J_ARG)):
         raise RangeError(f"0 < |z| < {_MIN_ABS_J_ARG:g} unsupported by the J recurrence")
     orders = np.broadcast_to(orders, z.shape)
-    out = (orders == 0).astype(z.dtype)       # J_0(0) = 1, J_m(0) = 0
+    lower = (orders == 1).astype(z.dtype)     # J_{m-1}(0): 1 at m = 1, else 0
+    value = (orders == 0).astype(z.dtype)     # J_0(0) = 1, J_m(0) = 0
     idx = np.flatnonzero(z != 0)
     big = np.maximum(orders[idx], np.abs(z[idx]))
     start = 2 * np.ceil(0.5 * (big + 10.0 + 8.0 * np.cbrt(big))).astype(int)
@@ -239,26 +242,29 @@ def _bessel_j(m, z):
     n = idx.size
     top = int(start[0]) if n else 0
     # active[mu]: elements whose start order is >= mu, a prefix
-    active = np.searchsorted(-start, -np.arange(top + 1), side="right")
+    active = np.searchsorted(-start, -np.arange(top + 1), side="right").tolist()
     # the elements of order mu are by_order[first[mu]:first[mu + 1]]
     by_order = np.argsort(order, kind="stable")
-    first = np.searchsorted(order[by_order], np.arange(top + 1))
+    first = np.searchsorted(order[by_order], np.arange(top + 2)).tolist()
     del big, start, by_start, order           # not held through the order loop
     prev, cur, nxt = np.zeros(n, z.dtype), np.ones(n, z.dtype), np.empty(n, z.dtype)
     even_sum = np.ones(n, z.dtype)            # sum of f_{2k}, k >= 1, from f_N = 1
-    expo, kept_expo = np.zeros(n, int), np.zeros(n, int)
-    kept = np.empty(n, z.dtype)
+    expo = np.zeros(n, int)
+    kept, kept_expo = np.empty((2, n), z.dtype), np.zeros((2, n), int)
     a = 0
     for mu in range(top, 0, -1):
         if active[mu] > a:
             prev[a:active[mu]], cur[a:active[mu]] = 0.0, 1.0
             a = active[mu]
-        np.multiply(w[:a], cur[:a], out=nxt[:a])
-        nxt[:a] *= mu
-        nxt[:a] -= prev[:a]
+            # the active prefixes, taken once per change of a
+            p_a, c_a, n_a, w_a, s_a = prev[:a], cur[:a], nxt[:a], w[:a], even_sum[:a]
+        np.multiply(w_a, c_a, out=n_a)
+        n_a *= mu
+        n_a -= p_a
         prev, cur, nxt = cur, nxt, prev       # cur is now f_{mu-1}
-        parts = cur[:a].view(float)
-        if parts.max() > _RESCALE or parts.min() < -_RESCALE:
+        p_a, c_a, n_a = c_a, n_a, p_a
+        parts = c_a.view(float)
+        if np.maximum.reduce(parts) > _RESCALE or np.minimum.reduce(parts) < -_RESCALE:
             grown = np.flatnonzero(np.abs(cur[:a]) > _RESCALE)
             _, e = np.frexp(np.abs(cur[grown]))
             factor = np.ldexp(1.0, -e)
@@ -267,12 +273,19 @@ def _bessel_j(m, z):
             even_sum[grown] *= factor
             expo[grown] += e
         if mu % 2 == 1 and mu > 1:
-            even_sum[:a] += cur[:a]
-        here = by_order[first[mu - 1]:first[mu]]
-        kept[here], kept_expo[here] = cur[here], expo[here]
+            s_a += c_a
+        # f_{mu-1} is J_m of the order mu - 1 and J_{m-1} of the order mu
+        for row, lo, hi in ((1, first[mu - 1], first[mu]), (0, first[mu], first[mu + 1])):
+            if hi > lo:
+                here = by_order[lo:hi]
+                kept[row, here], kept_expo[row, here] = cur[here], expo[here]
+    zero = by_order[:first[1]]                # J_{-1} = -J_1 = -f_1
+    kept[0, zero], kept_expo[0, zero] = -prev[zero], expo[zero]
+    norm = cur + 2.0 * even_sum
     with np.errstate(under="ignore"):
-        out[idx] = kept / (cur + 2.0 * even_sum) * np.ldexp(1.0, kept_expo - expo)
-    return out
+        for out, row in ((lower, 0), (value, 1)):     # a row at a time: fewer temporaries
+            out[idx] = kept[row] / norm * np.ldexp(1.0, kept_expo[row] - expo)
+    return lower, value
 
 
 #: below this Im z H^(1) is taken directly (see _exterior_pairs); the forward
@@ -280,7 +293,7 @@ def _bessel_j(m, z):
 _FORWARD_MIN_IMAG = -4.0
 
 
-def _exterior_pairs(m, z, evanescent):
+def _exterior_pairs(m, z, evanescent, pair=True):
     """(Z_{m-1}, Z_m, log scale) at every element; Z = value * exp(log scale).
 
     Z is K_m(Re z) where ``evanescent`` is set and H^(1)_m(z) elsewhere;
@@ -291,6 +304,13 @@ def _exterior_pairs(m, z, evanescent):
     kve e^{-x} (K) or hankel1 (H^(1)) at orders 0 and 1.  Every element
     goes through the same elementwise operations, so its result does not
     depend on the batch it sits in.
+
+    A caller that uses Z_m only sets ``pair`` false.  Then a direct element
+    with |H_m| < _RESCALE skips its H_{m-1} call, and its Z_{m-1} is nan:
+    |H_{m-1}/H_m| stays below 20 on Im z in [-600, -4], |z| <= 1e4,
+    m <= 3000 (about 2m/|z| where H^(1) is minimal), so that H_{m-1} is
+    finite and the element is taken directly either way.  Z_m and the scale
+    are bitwise those of the pair.
     """
     z = np.asarray(z, dtype=complex)
     m = np.broadcast_to(np.asarray(m, dtype=int), z.shape)
@@ -306,12 +326,14 @@ def _exterior_pairs(m, z, evanescent):
     zh = z[h_idx]
     direct = zh.imag < _FORWARD_MIN_IMAG
     if np.any(direct):
-        idx = h_idx[direct]
+        idx, zd = h_idx[direct], zh[direct]
         with np.errstate(over="ignore", invalid="ignore"):
-            h_m1 = special.hankel1(np.abs(m[idx] - 1), zh[direct])
-            h_m = special.hankel1(m[idx], zh[direct])
+            h_m = special.hankel1(m[idx], zd)
+            call = np.isfinite(h_m) & (pair | ~(np.abs(h_m) < _RESCALE))
+            h_m1 = np.full(idx.size, np.nan, dtype=complex)
+            h_m1[call] = special.hankel1(np.abs(m[idx[call]] - 1), zd[call])
         h_m1[m[idx] == 0] *= -1.0      # H_{-1} = -H_1
-        ok = np.isfinite(h_m1) & np.isfinite(h_m)
+        ok = np.isfinite(h_m) & (np.isfinite(h_m1) | ~call)
         lower[idx[ok]], value[idx[ok]], scale[idx[ok]] = h_m1[ok], h_m[ok], 0.0
         direct[direct] = ok            # an overflowing pair stays with the recurrence
         h_idx, zh = h_idx[~direct], zh[~direct]
@@ -364,7 +386,7 @@ def _ratio_array(m, z, z_ref, evanescent: bool):
     ref = np.asarray(z_ref, dtype=z.dtype)
     cols = np.concatenate([z.reshape(ref.size, -1), ref.reshape(-1, 1)], axis=1)
     orders = np.broadcast_to(np.reshape(m, (-1, 1)), cols.shape).ravel()
-    _, value, scale = _exterior_pairs(orders, cols.ravel(), evanescent)
+    _, value, scale = _exterior_pairs(orders, cols.ravel(), evanescent, pair=False)
     if evanescent:
         value = value.real
     value, scale = value.reshape(cols.shape), scale.reshape(cols.shape)

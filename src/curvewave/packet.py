@@ -252,7 +252,7 @@ def _profile_table(table: ModeTable, rows, r, jobs: int = 1) -> np.ndarray:
 
     def fill(block):
         for sel, kr in ((block[real_k[block]], k.real), (block[~real_k[block]], k)):
-            j = cylinder._bessel_j(np.repeat(m[sel], len(r_j)), (kr[sel, None] * r_j).ravel())
+            _, j = cylinder._bessel_j(np.repeat(m[sel], len(r_j)), (kr[sel, None] * r_j).ravel())
             j = j.reshape(len(sel), len(r_j))
             out[np.ix_(sel, col_in)] = j[:, :-1]
             j_edge[sel] = j[:, -1]

@@ -8,11 +8,13 @@ through Z'/Z and the order ratios Z_{m+-1}/Z_m, so the deep-evanescent regime
 (huge K_m / H_m values) never overflows.
 
 All of it runs on one array kernel, ``_matching``, over elements (m_i, k_i)
-with any mix of orders.  The interior takes J_{m-1} and J_m from ``jv`` and
-J_{m+1} from the three-term relation, which is stable here because kR >= m
-(to within a few orders) on every search path.  The exterior pair
-(Z_{m-1}, Z_m) comes from ``cylinder._exterior_pairs`` in one call over all
-elements, K and H^(1) mixed.
+with any mix of orders.  The interior takes the pair (J_{m-1}, J_m) from one
+Miller recurrence, ``cylinder._bessel_j``, over the real-k elements (in float
+arithmetic, so bound quantities stay exactly real) and one over the
+complex-k elements, and J_{m+1} from the three-term relation, which is
+stable here because kR >= m (to within a few orders) on every search path.
+The exterior pair (Z_{m-1}, Z_m) comes from ``cylinder._exterior_pairs`` in
+one call over all elements, K and H^(1) mixed.
 
 ``build_mode_table`` solves a whole m window as one batch:
 
@@ -37,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import cylinder
 from .errors import ConvergenceError, DomainError, NearDefectiveModeError
@@ -99,14 +100,6 @@ class _Match:
     log_scale: np.ndarray
 
 
-def _jv(order, z, real):
-    """J_order(z); elements flagged ``real`` are evaluated on the real line."""
-    out = np.empty(z.shape, dtype=complex)
-    out[real] = special.jv(order[real], z.real[real])
-    out[~real] = special.jv(order[~real], z[~real])
-    return out
-
-
 def _matching(pot: PotentialSpec, m, k) -> _Match:
     """Scaled characteristic g(k) = J'(z) - (q/k) J(z) S(w), dg/dk and parts.
 
@@ -126,10 +119,12 @@ def _matching(pot: PotentialSpec, m, k) -> _Match:
         w = q * R
         # the K branch is only ever used with real kappa
         w = np.where(below, w.real, w)
-        real = k.imag == 0.0
-        J = _jv(m, z, real)
-        Jm1 = _jv(np.abs(m - 1), z, real)
-        Jm1 = np.where(m == 0, -Jm1, Jm1)
+        # one recurrence over the real-k elements, in float arithmetic, and
+        # one over the complex-k elements
+        Jm1, J = np.empty((2, z.size), dtype=complex)
+        for sel, zs in ((k.imag == 0.0, z.real), (k.imag != 0.0, z)):
+            if np.any(sel):
+                Jm1[sel], J[sel] = cylinder._bessel_j(m[sel], zs[sel])
         Jp1 = (2.0 * m / z) * J - Jm1
         Jp = 0.5 * (Jm1 - Jp1)
         Jpp = -(1.0 - m * m / (z * z)) * J - Jp / z
@@ -229,6 +224,34 @@ def mode_norm(mode: EigenMode, pot: PotentialSpec) -> complex:
     return norm
 
 
+def _hankel_phase(m, z):
+    """Continuous phase theta of H^(1)_m(z) = M e^{i theta} at real z > m >= 0.
+
+    theta = theta_D + arg(H e^{-i theta_D}) with the Debye phase
+    theta_D = sqrt(z^2 - m^2) - m arccos(m/z) - pi/4 (DLMF 10.20); it is the
+    continuous phase (theta -> -pi/2 as z -> 0+, DLMF 10.18) while
+    |theta - theta_D| < pi.  H comes from one ``cylinder._exterior_pairs``
+    call; its log scale is real and does not change the phase.
+    """
+    debye = np.sqrt(z * z - m * m) - m * np.arccos(m / z) - np.pi / 4.0
+    _, h, _ = cylinder._exterior_pairs(m, z, False)
+    return debye + np.angle(h * np.exp(-1j * debye))
+
+
+def _zeros_below(m, z):
+    """Number of zeros of J_m in (0, z), per element of the 1-D ``m``, ``z``.
+
+    J_m = M cos(theta), so its zeros sit at theta = (n - 1/2) pi, n >= 1, and
+    n = floor((theta + pi/2)/pi) of them lie below z > m; none lie below
+    z <= m.
+    """
+    m, z = np.asarray(m, dtype=int), np.asarray(z, dtype=float)
+    count = np.zeros(z.shape, dtype=int)
+    osc = z > m
+    count[osc] = np.floor((_hankel_phase(m[osc], z[osc]) + np.pi / 2.0) / np.pi)
+    return count
+
+
 def _sturm_census(pot: PotentialSpec, m_values) -> dict:
     """Bound-mode count per m from J_m oscillation theory.
 
@@ -236,9 +259,10 @@ def _sturm_census(pot: PotentialSpec, m_values) -> dict:
     J_m(kR) below kR = k_V R (the interior log-derivative sweeps from +inf
     to -inf across each), plus one in the final partial interval iff the
     interior log-derivative k J'/J has already dropped below the exterior
-    one kappa K'/K there, that is iff g J < 0 at its end.  The zeros come
-    from ``jn_zeros``, independent of the root search; the final-interval
-    test is one kernel call over every m.
+    one kappa K'/K there, that is iff g J < 0 at its end.  The zeros are
+    counted from the phase of H^(1)_m(k_V R) (``_zeros_below``), independent
+    of the root search; it and the final-interval test are one kernel call
+    each over every m.
     """
     kv = pot.k_step
     counts = dict.fromkeys(m_values, 0)
@@ -247,10 +271,8 @@ def _sturm_census(pot: PotentialSpec, m_values) -> dict:
         return counts
     k_end = kv * (1.0 - 1.0e-12) if kv * 1.0e-12 > 1e-9 else kv - 1.0e-9
     mt = _matching(pot, ms, np.full(len(ms), k_end))
-    zmax = kv * pot.radius
-    for m, last in zip(ms, (mt.g.real * mt.J.real < 0.0).tolist()):
-        nt = int(zmax / np.pi) + 2 if m == 0 else max(1, int((zmax - m) / np.pi) + 3)
-        counts[m] = int(np.sum(special.jn_zeros(m, nt) < zmax)) + last
+    zeros = _zeros_below(ms, np.full(len(ms), kv * pot.radius))
+    counts.update(zip(ms, (zeros + (mt.g.real * mt.J.real < 0.0)).tolist()))
     return counts
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate, special
 
-from curvewave import cylinder, spectrum
+from curvewave import cylinder
 from curvewave.errors import DomainError, RangeError, SingularArgumentError
 
 
@@ -36,17 +36,17 @@ def series_bessel_y(n, z, terms=60):
     return lead - s1 / math.pi - s2 / math.pi
 
 
-def _jv(m, z):
-    """J_m(z) from the mode solver's kernel, on the real line for real z."""
-    m, z = np.broadcast_arrays(np.asarray(m, dtype=int), np.asarray(z, dtype=complex))
-    return spectrum._jv(m.ravel(), z.ravel(), z.ravel().imag == 0.0)
-
-
-def _bessel_j(m, z):
-    """J_m(z) from the profile tables' recurrence, in float arithmetic for real z."""
+def _j_pair(m, z):
+    """(J_{m-1}, J_m) from the Miller recurrence that the mode solver and the
+    profile tables run, in float arithmetic for real z."""
     m, z = np.broadcast_arrays(np.asarray(m, dtype=int), np.asarray(z, dtype=complex))
     z = z.ravel()
     return cylinder._bessel_j(m.ravel(), z.real if np.all(z.imag == 0.0) else z)
+
+
+def _jv(m, z):
+    """J_m(z) from the same recurrence."""
+    return _j_pair(m, z)[1]
 
 
 def _exterior(m, z, evanescent=False):
@@ -77,8 +77,9 @@ def _mp_bessel_j(m, z):
 def test_bessel_j_recurrence_against_mpmath():
     # orders 0, 1, 60, 120, 203 with |z| on both sides of m, and Im z down to
     # -max_im_k R = -6 at the solver default; one mixed-order batch per Im z,
-    # real z in float arithmetic.  Pointwise wherever J is a normal number,
-    # and each element alone is bitwise the element inside the batch.
+    # real z in float arithmetic.  Both members of the pair (J_{m-1}, J_m;
+    # J_{-1} = -J_1) pointwise wherever J is a normal number, and each
+    # element alone is bitwise the element inside the batch.
     orders = (0, 1, 60, 120, 203)
     m = np.array([mm for mm in orders for _ in range(5)])
     x = np.array([x for mm in orders for x in
@@ -86,13 +87,15 @@ def test_bessel_j_recurrence_against_mpmath():
                    (0.05 * mm, 0.5 * mm, 0.9 * mm, 1.1 * mm, 1.5 * mm))])
     for im in (0.0, -0.5, -2.0, -6.0):
         z = x if im == 0.0 else x + 1j * im
-        got = cylinder._bessel_j(m, z)
-        assert got.dtype == z.dtype
+        lower, value = cylinder._bessel_j(m, z)
+        assert lower.dtype == value.dtype == z.dtype
         for i in range(len(z)):
-            assert cylinder._bessel_j(m[i], z[i:i + 1])[0] == got[i], (m[i], z[i])
-            ref = _mp_bessel_j(m[i], z[i])
-            assert abs(ref) > 1e-290
-            assert abs(got[i] - ref) <= 1e-13 * abs(ref), (m[i], z[i])
+            one = cylinder._bessel_j(m[i], z[i:i + 1])
+            assert (one[0][0], one[1][0]) == (lower[i], value[i]), (m[i], z[i])
+            for got, order in ((lower[i], m[i] - 1), (value[i], m[i])):
+                ref = _mp_bessel_j(order, z[i])
+                assert abs(ref) > 1e-290
+                assert abs(got - ref) <= 1e-13 * abs(ref), (order, z[i])
 
 
 def test_bessel_j_recurrence_sum_rule_loss():
@@ -100,28 +103,32 @@ def test_bessel_j_recurrence_sum_rule_loss():
     # normalization loses about e^{|Im z|} eps: beyond the 1e-13 of the
     # table's range, within the documented bound
     z = np.array([0.3 - 10.0j])
-    err = abs(cylinder._bessel_j(0, z)[0] / _mp_bessel_j(0, z[0]) - 1.0)
+    err = abs(cylinder._bessel_j(0, z)[1][0] / _mp_bessel_j(0, z[0]) - 1.0)
     assert 1e-13 < err <= math.exp(10.0) * np.finfo(float).eps
 
 
 def test_bessel_j_recurrence_origin_and_underflow():
-    # J_0(0) = 1 and J_m(0) = 0 exactly, in a batch with other points
-    got = cylinder._bessel_j([0, 0, 3, 203, 5], np.array([0.0, 1.0, 0.0, 0.0, 2.0]))
-    assert (got[0], got[2], got[3]) == (1.0, 0.0, 0.0)
+    # J_0(0) = 1 and J_m(0) = 0 exactly, in a batch with other points, and
+    # the lower member J_{m-1}(0): 1 at m = 1, 0 elsewhere (J_{-1}(0) = 0)
+    lower, got = cylinder._bessel_j([0, 0, 3, 203, 5, 1],
+                                    np.array([0.0, 1.0, 0.0, 0.0, 2.0, 0.0]))
+    assert (got[0], got[2], got[3], got[5]) == (1.0, 0.0, 0.0, 0.0)
+    assert (lower[0], lower[2], lower[3], lower[5]) == (0.0, 0.0, 0.0, 1.0)
     assert got[1] == pytest.approx(special.j0(1.0), rel=1e-15)
+    assert lower[1] == pytest.approx(-special.j1(1.0), rel=1e-15)
     # J_203(x) for x <= 4.8 is below 1e-290, where jv returns 0; the
     # recurrence underflows gradually and cleanly, to 0 where the value is
     # below the smallest subnormal
     x = np.array([1.0, 3.0, 4.0, 4.3, 4.6, 4.8])
     assert np.all(special.jv(203, x) == 0.0)
-    got = cylinder._bessel_j(203, x)
+    got = cylinder._bessel_j(203, x)[1]
     assert got[0] == 0.0 and got[1] == 0.0
     for xi, gi in zip(x, got):
         ref = _mp_bessel_j(203, xi).real
         assert abs(gi - ref) <= 1e-13 * abs(ref) + 4 * 5e-324, xi
     # complex arguments, exactly 0 where J underflows
     z = np.array([1.0 - 0.5j, 2.0 - 1.0j])
-    assert np.all(cylinder._bessel_j(203, z) == 0.0)
+    assert np.all(np.array(cylinder._bessel_j(203, z)) == 0.0)
 
 
 def test_bessel_j_recurrence_rejects_bad_input():
@@ -147,27 +154,25 @@ def test_hankel1_asymptotic_magnitude():
 
 
 def test_wronskian_identity_hot_region():
-    # J_m H_{m-1} - J_{m-1} H_m = 2i/(pi z) on the kernels: J from jv (the
-    # mode solver's) and from the Miller recurrence (the profile tables'), H
-    # from the exterior pair in units of exp(scale).  It holds under the
-    # turning point too (|z| < m/2), and on the direct branch below
-    # Im z = -4 (4 - 4.5i, 150 - 5i); only J_200(1) underflows to 0.
-    for j_kernel in (_jv, _bessel_j):
-        worst, underflow = 0.0, []
-        for m in (0, 1, 5, 60, 120, 200):
-            for z in (1.0 + 0j, 5.0 - 0.5j, 52.6 + 0j, 113.0 - 1.57e-6j,
-                      250.0 - 3.0j, 300.0 + 6.0j, 4.0 - 4.5j, 150.0 - 5.0j):
-                j_lo, j = j_kernel([abs(m - 1), m], z)
-                j_lo *= -1.0 if m == 0 else 1.0       # J_{-1} = -J_1
-                if j == 0.0:
-                    underflow.append((m, z))
-                    continue
-                (a,), (b,), (scale,) = cylinder._exterior_pairs(m, [z], False)
-                target = 2j / (math.pi * z)
-                worst = max(worst, _same_log(np.log(j * a - j_lo * b) + scale,
-                                             np.log(target)))
-        assert underflow == [(200, 1.0)], j_kernel
-        assert worst < 1e-10, j_kernel
+    # J_m H_{m-1} - J_{m-1} H_m = 2i/(pi z) on the kernels: the pair
+    # (J_{m-1}, J_m) from one Miller recurrence (the mode solver's and the
+    # profile tables'), H from the exterior pair in units of exp(scale).  It
+    # holds under the turning point too (|z| < m/2), and on the direct branch
+    # below Im z = -4 (4 - 4.5i, 150 - 5i); only J_200(1) underflows to 0.
+    worst, underflow = 0.0, []
+    for m in (0, 1, 5, 60, 120, 200):
+        for z in (1.0 + 0j, 5.0 - 0.5j, 52.6 + 0j, 113.0 - 1.57e-6j,
+                  250.0 - 3.0j, 300.0 + 6.0j, 4.0 - 4.5j, 150.0 - 5.0j):
+            (j_lo,), (j,) = _j_pair(m, z)
+            if j == 0.0:
+                underflow.append((m, z))
+                continue
+            (a,), (b,), (scale,) = cylinder._exterior_pairs(m, [z], False)
+            target = 2j / (math.pi * z)
+            worst = max(worst, _same_log(np.log(j * a - j_lo * b) + scale,
+                                         np.log(target)))
+    assert underflow == [(200, 1.0)]
+    assert worst < 1e-10
 
 
 def test_k_wronskian_identity():
@@ -433,11 +438,17 @@ def test_domain_and_range_errors():
 
 
 def test_eval_cylinder_surface():
+    # J is the mode solver's pair, in float arithmetic on the real line
     ev = cylinder.eval_cylinder("j", 5, 7.0)
     assert ev.order == 5 and ev.argument == 7.0 + 0j and ev.log_scale == 0.0
-    assert ev.value == _jv(5, 7.0)[0]
+    (lower,), (value,) = cylinder._bessel_j(5, np.array([7.0]))
+    assert (ev.value, ev.derivative) == (value, lower - (5 / 7.0) * value)
     assert ev.derivative == pytest.approx(
         0.5 * (special.jv(4, 7.0) - special.jv(6, 7.0)), rel=1e-14)
+    z = 113.0 - 1.5j
+    ev = cylinder.eval_cylinder("j", 120, z)
+    (lower,), (value,) = cylinder._bessel_j(120, np.array([z]))
+    assert (ev.value, ev.derivative) == (value, lower - (120 / z) * value)
     assert cylinder.eval_cylinder("j", 1, 0.0).derivative == 0.5
     # H^(1) and K are the exterior pair's values, scale included
     for kind, z in (("h1", 4.0 - 4.5j), ("h1", 2.0), ("k", 1.0)):
@@ -506,3 +517,38 @@ def test_exterior_pairs_one_rule():
                 assert (a[i], b[i], scale[i]) == (direct[0], direct[1], 0.0)
             else:
                 assert (m, z[i]) == (203, 1.0 - 4.5j) and scale[i] > 0.0
+
+
+def test_ratio_array_skips_unused_direct_lower_call(monkeypatch):
+    # a ratio array uses Z_m only.  Below Im z = -4 it calls hankel1 once per
+    # direct element, not twice, and its rows are bitwise the quotients of the
+    # full pairs.  At m = 92, z = 625 - 696i, H_91 overflows and H_92
+    # (1.7e299) does not: that element still calls for H_91 and stays with
+    # the recurrence, as in the pair.
+    orders = np.array([0, 1, 92, 75, 120, 203])
+    r = np.linspace(2.0, 8.7, 12)
+    q = np.array([60.0 - 3.0j, 40.0 - 0.5j, 50.0 - 1.0j, 113.0 - 2.0j, 52.6 - 1e-6j, 90.0 - 1.5j])
+    z = q[:, None] * r
+    z[2, -1] = 625.0 - 696.0j
+    z_ref = q * 2.0
+    points = []
+
+    def spy(order, arg):
+        points.append(np.size(arg))
+        return hankel1(order, arg)
+
+    hankel1 = special.hankel1
+    monkeypatch.setattr(special, "hankel1", spy)
+    got = cylinder.hankel1_ratio_array(orders, z, z_ref)
+    cols = np.concatenate([z, z_ref[:, None]], axis=1)
+    m = np.broadcast_to(orders[:, None], cols.shape).ravel()
+    calls_ratio, points[:] = sum(points), []
+    lower, value, scale = cylinder._exterior_pairs(m, cols.ravel(), False)
+    calls_pair = sum(points)
+    value, scale = value.reshape(cols.shape), scale.reshape(cols.shape)
+    want = (value[:, :-1] / value[:, -1:]) * np.exp(scale[:, :-1] - scale[:, -1:])
+    assert np.array_equal(got, want)
+    direct = cols.ravel().imag < -4.0
+    odd = (m == 92) & (cols.ravel() == 625.0 - 696.0j)
+    assert direct.sum() > 20 and scale.ravel()[odd][0] > 0.0
+    assert calls_pair - calls_ratio == direct.sum() - 1

@@ -189,9 +189,9 @@ def test_profile_table_calls_per_block(small_table, monkeypatch):
     calls = []
     real_pairs = cylinder._exterior_pairs
 
-    def counted(m, z, evanescent):
+    def counted(m, z, evanescent, **kw):
         calls.append(len(z))
-        return real_pairs(m, z, evanescent)
+        return real_pairs(m, z, evanescent, **kw)
 
     monkeypatch.setattr(cylinder, "_exterior_pairs", counted)
     counts = []

@@ -1,6 +1,7 @@
 import math
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, optimize, special
@@ -37,8 +38,9 @@ def raw_terms(pot, m, k):
     """
     z = k * pot.radius
     jp = 0.5 * (special.jv(m - 1, z) - special.jv(m + 1, z))
-    if np.imag(k) == 0 and np.real(k) < pot.k_step:
-        kap = math.sqrt(pot.k_step**2 - np.real(k)**2)
+    if np.all(np.imag(k) == 0) and np.all(np.real(k) < pot.k_step):
+        # real k below the step may come as an array (one value per element)
+        kap = np.sqrt(pot.k_step**2 - np.real(k)**2)
         w = kap * pot.radius
         kv = special.kve(m, w)
         kvp = -0.5 * (special.kve(m - 1, w) + special.kve(m + 1, w))
@@ -78,9 +80,10 @@ def test_characteristic_sign_changes_m75(pot):
 
 def test_bound_modes_match_bisection_oracle(pot):
     modes = find_bound_modes(pot, 75)
-    # independent oracle: brute scan of the raw determinant at 1e-4 step
+    # independent oracle: brute scan of the raw determinant at 1e-4 step,
+    # evaluated over the whole grid at once
     ks = np.arange(37.6, pot.k_step - 1e-9, 1e-4)
-    signs = np.sign([raw_characteristic_bound(pot, 75, k) for k in ks])
+    signs = np.sign(raw_characteristic_bound(pot, 75, ks))
     idx = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
     roots = [optimize.brentq(lambda k: raw_characteristic_bound(pot, 75, k),
                              ks[i], ks[i + 1], xtol=1e-12) for i in idx]
@@ -88,6 +91,54 @@ def test_bound_modes_match_bisection_oracle(pot):
     for mo, ref in zip(modes, roots):
         assert mo.k.real == pytest.approx(ref, abs=2e-9)
         assert mo.n >= 1 and mo.klass == BOUND and mo.gamma == 0.0
+
+
+def test_census_zero_count_matches_jn_zeros():
+    # the census counts the zeros of J_m below z from the phase of H^(1)_m;
+    # jn_zeros is the oracle, on every m from 0 to z + 5 for z in (0.5, 260],
+    # and 1e-12 (relative) to either side of each of the first 30 zeros
+    z_grid = np.linspace(0.5, 260.0, 321)[1:]
+    m = np.concatenate([np.arange(int(z) + 6) for z in z_grid])
+    z = np.concatenate([np.full(int(z) + 6, z) for z in z_grid])
+    want = np.empty(m.size, dtype=int)
+    for order in range(m.max() + 1):
+        zeros = special.jn_zeros(order, int(260.0 / np.pi) + 3)
+        at = m == order
+        want[at] = np.searchsorted(zeros, z[at])
+    assert m.size > 40000 and np.array_equal(spectrum._zeros_below(m, z), want)
+    # the phase is unwrapped against the Debye phase, which needs
+    # |theta - theta_D| < pi; it stays below pi/2 (0.26 on this grid)
+    m, z = m[z > m], z[z > m]
+    debye = np.sqrt(z * z - m * m) - m * np.arccos(m / z) - np.pi / 4.0
+    assert np.max(np.abs(spectrum._hankel_phase(m, z) - debye)) < np.pi / 2
+    for order in (0, 1, 5, 48, 120, 203):
+        zeros = special.jn_zeros(order, 30)
+        for side, below in ((1.0 - 1e-12, np.arange(30)), (1.0 + 1e-12, np.arange(1, 31))):
+            got = spectrum._zeros_below(np.full(30, order), zeros * side)
+            assert np.array_equal(got, below), (order, side)
+
+
+def test_matching_j_pair_against_mpmath(pot):
+    # the solver's (J_{m-1}, J_m) at real k and at complex k down to
+    # Im k = -max_im_k (Im z = -6 at the default 6/R), in one batch, against
+    # 40 digits.  The recurrence's error grows like |z| eps, and the Neumann
+    # sum's terms reach e^{|Im z|}, so the normalization loses about
+    # e^{|Im z|} eps; measured at most 1.1 (|z| + e^{|Im z|}) eps of the
+    # pair's size
+    m = np.tile([0, 1, 60, 120, 171, 203], 5)
+    k = np.repeat([101.0, 107.3, 113.0, 121.9, 129.9], 6).astype(complex)
+    eps = np.finfo(float).eps
+    for im_k in (0.0, -0.05, -0.5, -1.5, -3.0):
+        kk = k + 1j * im_k
+        mt = spectrum._matching(pot, m, kk)
+        for i, (mi, zi) in enumerate(zip(m.tolist(), (kk * pot.radius).tolist())):
+            with mpmath.workdps(40):
+                want = [complex(mpmath.besselj(o, mpmath.mpmathify(zi))) for o in (mi - 1, mi)]
+            size = math.hypot(abs(want[0]), abs(want[1]))
+            err = max(abs(mt.Jm1[i] - want[0]), abs(mt.J[i] - want[1])) / size
+            assert err <= 2.0 * (abs(zi) + math.exp(abs(zi.imag))) * eps, (mi, zi)
+            if im_k == 0.0:
+                assert mt.Jm1[i].imag == 0.0 and mt.J[i].imag == 0.0
 
 
 def test_bound_modes_empty_above_window(pot):
@@ -372,16 +423,21 @@ def test_kernel_matches_raw_determinant_off_axis(pot):
 
 def test_matching_takes_direct_pair_below_axis(pot):
     # far below the axis (Im qR < -4) the kernel's S is built from the
-    # direct pair H^(1)_{m-1}, H^(1)_m, as every other exterior below the axis
+    # direct pair H^(1)_{m-1}, H^(1)_m, as every other exterior below the axis.
+    # g is rebuilt with the kernel's one-element array operations: numpy's
+    # complex array arithmetic rounds some products and quotients differently
+    # from Python's complex scalars in the last bit.
     for m, k in ((120, 110.0 - 5.0j), (1, 104.0 - 3.0j)):
         mt = spectrum._matching(pot, [m], [k])
+        k, m = np.array([k]), np.array([m])
         e = pot.hbar**2 * k * k / (2.0 * pot.mass)
         q = np.sqrt(2.0 * pot.mass * (e - pot.v0)) / pot.hbar
         w = q * pot.radius
         assert w.imag < -4.0
-        h = special.hankel1([m - 1, m], w)
+        h = special.hankel1([m[0] - 1, m[0]], w[0])
         rm = h[0] / h[1]
-        S = -0.5 * (-rm + ((2.0 * m / w) - rm))
-        jp = 0.5 * (mt.Jm1[0] - mt.Jp1[0])
         assert (mt.Z[0], mt.log_scale[0], mt.rm[0]) == (h[1], 0.0, rm)
-        assert mt.g[0] == jp - (q / k) * mt.J[0] * S
+        sgn = np.array([-1.0])
+        S = -0.5 * (sgn * mt.rm + ((2.0 * m / w) + sgn * mt.rm))
+        jp = 0.5 * (mt.Jm1 - mt.Jp1)
+        assert mt.g[0] == (jp - (q / k) * mt.J * S)[0]
