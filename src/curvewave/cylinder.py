@@ -154,44 +154,57 @@ def _forward_recurrence(m, z, a, b, scale, sign: float):
     ``a``, ``b`` are Z_0, Z_1 in units of exp(``scale``) and
     Z_{mu+1} = (2 mu/z) Z_mu + sign Z_{mu-1}; Z_{-1} = sign Z_1.  ``m`` holds
     one order per element, sorted ascending: the recurrence runs on a
-    shrinking slice, and the elements whose order it has reached leave with
-    their pair.  An element whose value passes _RESCALE is divided by its
-    magnitude, the log going into its scale.
+    shrinking suffix of three buffers that it rotates, and the elements whose
+    order it has reached leave with their pair.  An element whose value
+    passes _RESCALE is divided by its magnitude, the log going into its
+    scale.  The inputs are not modified.
     """
     orders = np.asarray(m, dtype=int)
     top = int(orders[-1]) if orders.size else 0
     # ends[mu]: number of leading elements whose order is <= mu
-    ends = np.searchsorted(orders, np.arange(top + 1), side="right")
+    ends = np.searchsorted(orders, np.arange(top + 1), side="right").tolist()
     lower, value, out_scale = np.empty_like(a), np.empty_like(b), np.empty_like(scale)
-    lower[:ends[0]] = sign * b[:ends[0]]
-    value[:ends[0]] = a[:ends[0]]
-    out_scale[:ends[0]] = scale[:ends[0]]
     lo = ends[0]
-    a, b, scale, w = a[lo:], b[lo:], scale[lo:], 2.0 / z[lo:]
+    lower[:lo], value[:lo], out_scale[:lo] = sign * b[:lo], a[:lo], scale[:lo]
+    # buffer position i holds element lo0 + i; the active suffix starts at lo
+    lo0 = lo
+    # each seed is dropped once copied, so that where the caller passed a
+    # temporary it is not held through the order loop
+    dtype = np.result_type(a, b)
+    prev = np.array(a[lo0:], dtype=dtype)
+    del a
+    cur = np.array(b[lo0:], dtype=dtype)
+    del b
+    scl = np.array(scale[lo0:])
+    del scale
+    nxt, w = np.empty_like(cur), 2.0 / z[lo0:]
+    p_a, c_a, n_a, s_a, w_a = prev, cur, nxt, scl, w
     for mu in range(1, top):
         if ends[mu] > lo:
-            n = ends[mu] - lo
-            lower[lo:ends[mu]], value[lo:ends[mu]] = a[:n], b[:n]
-            out_scale[lo:ends[mu]] = scale[:n]
-            a, b, scale, w = a[n:], b[n:], scale[n:], w[n:]
+            i, j = lo - lo0, ends[mu] - lo0
+            lower[lo:ends[mu]], value[lo:ends[mu]] = prev[i:j], cur[i:j]
+            out_scale[lo:ends[mu]] = scl[i:j]
             lo = ends[mu]
-        nxt = w * b
-        nxt *= mu
+            p_a, c_a, n_a, s_a, w_a = prev[j:], cur[j:], nxt[j:], scl[j:], w[j:]
+        np.multiply(w_a, c_a, out=n_a)
+        n_a *= mu
         if sign > 0.0:
-            nxt += a
+            n_a += p_a
         else:
-            nxt -= a
-        a, b = b, nxt
-        # cheap screen on the components; |b| only where one is large
-        if np.max(np.abs(b.view(float))) > _RESCALE:
-            big = np.abs(b) > _RESCALE
-            mag = np.abs(b[big])
-            a[big] /= mag
-            b[big] /= mag
-            scale[big] += np.log(mag)
+            n_a -= p_a
+        prev, cur, nxt = cur, nxt, prev       # cur is now Z_{mu+1}
+        p_a, c_a, n_a = c_a, n_a, p_a
+        # cheap screen on the components; |Z| only where one is large
+        parts = c_a.view(float)
+        if np.maximum.reduce(parts) > _RESCALE or np.minimum.reduce(parts) < -_RESCALE:
+            big = np.flatnonzero(np.abs(c_a) > _RESCALE)
+            mag = np.abs(c_a[big])
+            p_a[big] /= mag
+            c_a[big] /= mag
+            s_a[big] += np.log(mag)
     if lo == 0:
-        return a, b, scale
-    lower[lo:], value[lo:], out_scale[lo:] = a, b, scale
+        return p_a, c_a, s_a
+    lower[lo:], value[lo:], out_scale[lo:] = p_a, c_a, s_a
     return lower, value, out_scale
 
 

@@ -24,7 +24,9 @@ one call over all elements, K and H^(1) mixed.
    brentq's tolerance; an m whose count disagrees with the Sturm census is
    scanned again at half, a quarter and an eighth of the step;
 3. resonances: the local minima of |characteristic| on the real axis seed
-   one batched damped complex Newton iteration with a secant fallback;
+   one batched damped complex Newton iteration with a secant fallback; a
+   seed whose iterate falls below k_V, where only bound roots lie, is
+   stopped there and listed in the diagnostics;
 4. one more kernel pass over all roots gives the norms and amplitude ratios
    of the ``ModeTable``, the column store every later stage reads.
 
@@ -56,6 +58,9 @@ _BOUND_XTOL = 1.0e-13
 _BOUND_RTOL = 8.9e-16
 _BOUND_MAX_ITER = 100
 _NEWTON_MAX_ITER = 60
+#: a resonance root is accepted within this distance outside its Re k window;
+#: a Newton iterate this far below k_V stops (see ``_newton``)
+_WINDOW_SLACK = 1.0e-6
 #: elements per kernel call on the scan grids; bounds the kernel's temporaries
 _GRID_CHUNK = 2048
 
@@ -387,24 +392,38 @@ def find_bound_modes(pot: PotentialSpec, m: int) -> list[EigenMode]:
     return _solved_table(pot, [m] * len(roots), range(1, len(roots) + 1), roots, []).modes
 
 
-def _newton(pot: PotentialSpec, m, k0, max_step: float):
-    """Damped complex Newton from every seed at once; returns (k, converged).
+def _newton(pot: PotentialSpec, m, k0, max_step: float, k_stop: float):
+    """Damped complex Newton from every seed at once; returns (k, converged, stopped).
 
     Per element: stop when |g|/scale <= 1e-14; step g/dg, or the secant step
     where the derivative is zero or not finite (fail without a previous
     iterate), clipped to ``max_step``; after a step below 1e-13 |k|, or after
     _NEWTON_MAX_ITER steps, one more evaluation decides convergence by the
     residual tolerance.
+
+    Before each kernel call an element whose iterate has Re k < ``k_stop``
+    leaves the iteration, unconverged and marked in ``stopped``.  Only the
+    left edge stops, below k_V: there ``_matching`` takes the K branch, whose
+    roots are the bound modes that the resonance search drops, and no traced
+    iterate that crossed it came back.  Iterates that pass the right edge do
+    come back and converge inside the window.  Every element goes through
+    the same elementwise operations whatever else is in the batch, so the
+    stop leaves the other elements' iterates bitwise unchanged.
     """
     n = k0.size
     k = k0.copy()
     ok = np.zeros(n, dtype=bool)
+    stopped = np.zeros(n, dtype=bool)
     k_prev = np.zeros(n, dtype=complex)
     g_prev = np.full(n, np.nan, dtype=complex)
     checking = np.zeros(n, dtype=bool)
     todo = np.arange(n)
     m = np.asarray(m)
     for it in range(_NEWTON_MAX_ITER + 1):
+        out = k[todo].real < k_stop
+        if np.any(out):
+            stopped[todo[out]] = True
+            todo = todo[~out]
         if not todo.size:
             break
         mt = _matching(pot, m[todo], k[todo])
@@ -427,13 +446,22 @@ def _newton(pot: PotentialSpec, m, k0, max_step: float):
         k[idx] = k[idx] - dk[move]
         checking[idx] = np.abs(dk[move]) <= 1.0e-13 * np.abs(k[idx])
         todo = idx
-    return k, ok
+    return k, ok, stopped
 
 
 def _resonance_roots(pot: PotentialSpec, m_values, window, max_im_k):
-    """Complex roots per m in the Re k window, and the rejected seeds."""
+    """Complex roots per m in the Re k window, and the rejected seeds.
+
+    A root is accepted within _WINDOW_SLACK of the window's edges.  A seed
+    whose Newton iterate falls that far below k_V + 1e-9, the lowest left
+    edge, is stopped (see ``_newton``) and listed as "left the window below
+    k_V": it would have ended on a bound root, which the acceptance test
+    drops, or not converged.  So a window that starts at k_V, as
+    ``build_mode_table``'s does, stops its seeds at its own left edge.
+    """
     kv = pot.k_step
-    lo = max(float(window[0]), kv + 1.0e-9)
+    k_low = kv + 1.0e-9
+    lo = max(float(window[0]), k_low)
     hi = float(window[1])
     if max_im_k is None:
         max_im_k = 6.0 / pot.radius
@@ -451,9 +479,14 @@ def _resonance_roots(pot: PotentialSpec, m_values, window, max_im_k):
     right = np.hstack([vals[:, 1:], edge])
     rows, cols = np.nonzero((vals <= left) & (vals <= right))
     seed_m, seeds = ms[rows], ks[cols]
-    found, ok = _newton(pot, seed_m, seeds.astype(complex), max_step=0.75 * step * 2)
+    found, ok, stopped = _newton(pot, seed_m, seeds.astype(complex),
+                                 max_step=0.75 * step * 2, k_stop=k_low - _WINDOW_SLACK)
 
-    for m, seed, k, good in zip(seed_m.tolist(), seeds.tolist(), found.tolist(), ok):
+    for m, seed, k, good, stop in zip(seed_m.tolist(), seeds.tolist(), found.tolist(), ok,
+                                      stopped):
+        if stop:
+            diagnostics.append({"m": m, "seed": seed, "reason": "left the window below k_V"})
+            continue
         if not good:
             diagnostics.append({"m": m, "seed": seed, "reason": "newton did not converge"})
             continue
@@ -468,7 +501,7 @@ def _resonance_roots(pot: PotentialSpec, m_values, window, max_im_k):
             diagnostics.append({"m": m, "seed": seed,
                                 "reason": f"overdamped root rejected {k}"})
             continue
-        if not (lo - 1.0e-6 <= k.real <= hi + 1.0e-6):
+        if not (lo - _WINDOW_SLACK <= k.real <= hi + _WINDOW_SLACK):
             continue
         roots[m].append(k)
 
@@ -489,7 +522,8 @@ def find_resonances(pot: PotentialSpec, m: int, window, n_start: int | None = No
 
     Seeds are the local minima of |characteristic| on the real axis, polished
     by a damped complex Newton iteration with the analytic derivative
-    (secant fallback).  Non-converged seeds go to ``diagnostics``.
+    (secant fallback).  Non-converged seeds, and seeds whose iterate fell
+    below k_V (see ``_resonance_roots``), go to ``diagnostics``.
 
     Roots deeper than ``max_im_k`` (default 6/R: lifetime under one transit)
     are over-damped prompt response, not usable mode objects; they are

@@ -190,7 +190,7 @@ def test_husimi_writes_gap_curves_without_crossing(tmp_path):
 
 def test_modes_writes_solver_diagnostics(tmp_path, capsys):
     # the edge of preset B's window, m = 197-203, where the seed next to the
-    # step does not converge for every m
+    # step falls below k_V and is stopped there, one diagnostic per m
     assert main(["modes", "--preset", "B", "--m-min", "197", "--m-max", "203",
                  "--out", str(tmp_path)]) == 0
     table = load_modes(tmp_path / "modes_B.txt")

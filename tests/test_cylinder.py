@@ -492,6 +492,72 @@ def test_recurrence_per_element_orders():
         assert abs(ha[i] / hb[i] - ratio_h) < 1e-12 * abs(ratio_h)
 
 
+def _forward_recurrence_loop(m, z, a, b, scale, sign):
+    """The plain loop that ``cylinder._forward_recurrence`` replaced: a new
+    array every step and the screen by np.max(np.abs(...)).  It writes into
+    its seed arrays."""
+    orders = np.asarray(m, dtype=int)
+    top = int(orders[-1]) if orders.size else 0
+    ends = np.searchsorted(orders, np.arange(top + 1), side="right")
+    lower, value, out_scale = np.empty_like(a), np.empty_like(b), np.empty_like(scale)
+    lower[:ends[0]] = sign * b[:ends[0]]
+    value[:ends[0]] = a[:ends[0]]
+    out_scale[:ends[0]] = scale[:ends[0]]
+    lo = ends[0]
+    a, b, scale, w = a[lo:], b[lo:], scale[lo:], 2.0 / z[lo:]
+    for mu in range(1, top):
+        if ends[mu] > lo:
+            n = ends[mu] - lo
+            lower[lo:ends[mu]], value[lo:ends[mu]] = a[:n], b[:n]
+            out_scale[lo:ends[mu]] = scale[:n]
+            a, b, scale, w = a[n:], b[n:], scale[n:], w[n:]
+            lo = ends[mu]
+        nxt = w * b
+        nxt *= mu
+        if sign > 0.0:
+            nxt += a
+        else:
+            nxt -= a
+        a, b = b, nxt
+        if np.max(np.abs(b.view(float))) > cylinder._RESCALE:
+            big = np.abs(b) > cylinder._RESCALE
+            mag = np.abs(b[big])
+            a[big] /= mag
+            b[big] /= mag
+            scale[big] += np.log(mag)
+    if lo == 0:
+        return a, b, scale
+    lower[lo:], value[lo:], out_scale[lo:] = a, b, scale
+    return lower, value, out_scale
+
+
+def test_forward_recurrence_matches_loop_oracle():
+    # bitwise against the plain loop, on mixed-order K and H^(1) batches whose
+    # values pass _RESCALE, and on batches of one order (no element leaves
+    # before the top order); the seed arrays stay as they were
+    rng = np.random.default_rng(7)
+    batches = [np.sort(rng.integers(0, 261, int(rng.integers(1, 120)))) for _ in range(16)]
+    batches += [np.array([0, 0]), np.array([1, 1, 1]), np.array([0, 1]), np.full(3, 200)]
+    rescaled = {1.0: 0, -1.0: 0}
+    for i, orders in enumerate(batches):
+        n = orders.size
+        if i % 2:
+            x = rng.uniform(0.05, 300.0, n)
+            args = (orders, x, special.kve(0, x), special.kve(1, x), -x, 1.0)
+        else:
+            z = rng.uniform(0.05, 60.0, n) + 1j * rng.uniform(-4.0, 3.0, n)
+            args = (orders, z, special.hankel1(0, z), special.hankel1(1, z),
+                    np.zeros(n), -1.0)
+        seeds = [x.copy() for x in args[:5]]
+        got = cylinder._forward_recurrence(*args)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(args[:5], seeds)), i
+        want = _forward_recurrence_loop(*seeds, args[5])
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (i, orders)
+        rescaled[args[5]] += bool(np.any(got[2] != args[4]))
+    assert rescaled[1.0] >= 5 and rescaled[-1.0] >= 5
+
+
 def test_exterior_pairs_one_rule():
     # K and H^(1) mixed in one batch, orders 0, 1, 2 and 203, Im z from +1
     # down to -8: below Im z = -4 H^(1) is the direct pair, except at

@@ -370,6 +370,60 @@ def test_window_solve_equals_per_m_solves(pot):
     assert table.diagnostics == diags
 
 
+def test_newton_stops_seeds_below_kv(pot, monkeypatch):
+    # preset B's potential at m = 197-203: each m's seed next to the step
+    # falls below k_V at its first step and would not converge there in the
+    # 60 steps it used to run; stopped, the resonance search takes a few
+    # Newton iterations
+    calls, in_newton = {"newton": 0}, []
+    matching, newton = spectrum._matching, spectrum._newton
+
+    def counted_matching(*args):
+        calls["newton"] += bool(in_newton)
+        return matching(*args)
+
+    def marked_newton(*args, **kwargs):
+        in_newton.append(True)
+        try:
+            return newton(*args, **kwargs)
+        finally:
+            in_newton.pop()
+
+    monkeypatch.setattr(spectrum, "_matching", counted_matching)
+    monkeypatch.setattr(spectrum, "_newton", marked_newton)
+    table = spectrum.build_mode_table(pot, range(197, 204), resonance_k_max=130.0)
+    assert calls["newton"] <= 10
+    assert [d["m"] for d in table.diagnostics] == list(range(197, 204))
+    assert all(d["reason"] == "left the window below k_V" for d in table.diagnostics)
+
+
+def test_newton_stop_changes_no_mode(pot, monkeypatch):
+    # the seeds next to the step: those of m = 49 and 51 converge inside the
+    # window, those of m = 48 and 50 to bound roots below k_V, and m = 203's
+    # never converges.  Solved with the stop and with it moved to -inf, the
+    # tables are bitwise equal; the stop only lists or relabels seeds
+    m_values = [48, 49, 50, 51, 203]
+    stopped = spectrum.build_mode_table(pot, m_values, resonance_k_max=101.0)
+    newton = spectrum._newton
+    monkeypatch.setattr(spectrum, "_newton", lambda pot, m, k0, max_step, k_stop:
+                        newton(pot, m, k0, max_step, -np.inf))
+    full = spectrum.build_mode_table(pot, m_values, resonance_k_max=101.0)
+    for col in ("m", "n", "k", "norm", "c"):
+        assert getattr(stopped, col).tobytes() == getattr(full, col).tobytes(), col
+    assert stopped.klass.tolist() == full.klass.tolist()
+    reason = "left the window below k_V"
+    assert {d["m"] for d in stopped.diagnostics if d["reason"] == reason} == {48, 50, 203}
+    assert all(d in full.diagnostics or d["reason"] == reason for d in stopped.diagnostics)
+    assert [d["m"] for d in full.diagnostics] == [203]
+
+    def seeds(diags):
+        return {(d["m"], d["seed"]) for d in diags}
+
+    assert seeds(full.diagnostics) < seeds(stopped.diagnostics)
+    edge = stopped.k[(stopped.m == 49) | (stopped.m == 51)]
+    assert np.sum(edge.real > pot.k_step) == 2
+
+
 def test_bound_polish_keeps_exact_zero_iterate(pot, monkeypatch):
     # g(k) = k - 1.5; the false-position start from [1, 2.5] lands on g == 0
     # exactly and must be returned as is.  With no usable derivative (m = 5)
