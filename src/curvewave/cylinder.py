@@ -16,16 +16,17 @@ Conventions used throughout the package:
   precision in the deep-evanescent regime (|z| well below the order), come
   as the pair (Z_{m-1}, Z_m) with a log scale from one private batched
   function, ``_exterior_pairs``, over elements of any orders.  It runs one
-  scaled forward recurrence in the order, seeded by ``kve``/``hankel1`` at
-  orders 0 and 1, so no asymptotic series is involved.  A direct
-  large-order AMOS value costs several microseconds a point (D. E. Amos,
-  ACM TOMS 12, 265 (1986)); the two seeds plus m elementwise steps cost a
-  fraction of that.  The recurrence is stable for K and, on and above the
-  real axis, for H^(1) (W. Gautschi, SIAM Rev. 9, 24 (1967)).  Far below the
-  axis H^(1) turns minimal under the turning point, so there is one rule:
-  where Im z < -4, H^(1) is taken directly at orders m-1 and m when both are
-  finite, and the recurrence value is kept where they overflow (callers that
-  use Z_m only skip the m-1 call where it cannot overflow).
+  scaled forward recurrence in the order, seeded at orders 0 and 1 by
+  Hankel's expansion (DLMF 10.17.5, 10.40.2) where |z| >= 20 and by AMOS
+  ``kve``/``hankel1`` below.  A direct large-order AMOS value costs several
+  microseconds a point (D. E. Amos, ACM TOMS 12, 265 (1986)); the two seeds
+  plus m elementwise steps cost a fraction of that.  The recurrence is
+  stable for K and, on and above the real axis, for H^(1) (W. Gautschi,
+  SIAM Rev. 9, 24 (1967)).  Far below the axis H^(1) turns minimal under
+  the turning point, so there is one rule: where Im z < -4, H^(1) is taken
+  directly at orders m-1 and m when both are finite, and the recurrence
+  value is kept where they overflow (callers that use Z_m only skip the m-1
+  call where it cannot overflow).
 * everything exterior is built on that pair: ``bessel_k_logderiv``,
   ``hankel1_logderiv`` and ``hankel1_scaled`` are one-element calls, the
   array ratios ``bessel_k_ratio_array`` and ``hankel1_ratio_array`` (the
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy import special
@@ -148,10 +150,10 @@ def eval_cylinder(kind: str, m: int, z) -> CylinderEval:
 # the exterior pair: one scaled forward recurrence in the order
 # ---------------------------------------------------------------------------
 
-def _forward_recurrence(m, z, a, b, scale, sign: float):
+def _forward_recurrence(m, z, seeds, scale, sign: float):
     """(Z_{m-1}, Z_m, scale) at every element of the 1-D ``z``, from Z_0 and Z_1.
 
-    ``a``, ``b`` are Z_0, Z_1 in units of exp(``scale``) and
+    ``seeds`` is the (2, n) array (Z_0, Z_1) in units of exp(``scale``) and
     Z_{mu+1} = (2 mu/z) Z_mu + sign Z_{mu-1}; Z_{-1} = sign Z_1.  ``m`` holds
     one order per element, sorted ascending: the recurrence runs on a
     shrinking suffix of three buffers that it rotates, and the elements whose
@@ -163,18 +165,15 @@ def _forward_recurrence(m, z, a, b, scale, sign: float):
     top = int(orders[-1]) if orders.size else 0
     # ends[mu]: number of leading elements whose order is <= mu
     ends = np.searchsorted(orders, np.arange(top + 1), side="right").tolist()
-    lower, value, out_scale = np.empty_like(a), np.empty_like(b), np.empty_like(scale)
+    (lower, value), out_scale = np.empty_like(seeds), np.empty_like(scale)
     lo = ends[0]
-    lower[:lo], value[:lo], out_scale[:lo] = sign * b[:lo], a[:lo], scale[:lo]
+    lower[:lo], value[:lo], out_scale[:lo] = sign * seeds[1, :lo], seeds[0, :lo], scale[:lo]
     # buffer position i holds element lo0 + i; the active suffix starts at lo
     lo0 = lo
-    # each seed is dropped once copied, so that where the caller passed a
+    # the seeds are dropped once copied, so that where the caller passed a
     # temporary it is not held through the order loop
-    dtype = np.result_type(a, b)
-    prev = np.array(a[lo0:], dtype=dtype)
-    del a
-    cur = np.array(b[lo0:], dtype=dtype)
-    del b
+    prev, cur = np.array(seeds[:, lo0:])
+    del seeds
     scl = np.array(scale[lo0:])
     del scale
     nxt, w = np.empty_like(cur), 2.0 / z[lo0:]
@@ -305,6 +304,84 @@ def _bessel_j(m, z):
 #: recurrence's rounding error there grows like e^{2 |Im z|} * eps
 _FORWARD_MIN_IMAG = -4.0
 
+#: the seeds come from Hankel's expansion at |z| >= _SERIES_MIN_ABS (Re z > 0)
+#: and from AMOS below; _SERIES_TERMS terms leave a truncation error of
+#: a_30 / 20^30 = 2.4e-18 at the switch
+_SERIES_MIN_ABS = 20.0
+_SERIES_TERMS = 30
+#: elements per pass of the series: its temporaries stay small beside the
+#: seeds it writes, and in cache
+_SERIES_CHUNK = 1 << 14
+
+
+def _series_coefficients():
+    """Hankel's a_k(nu) = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k), nu = 0, 1.
+
+    Returned as (K, H) arrays of shape (_SERIES_TERMS, 2, 1), highest power
+    first: K_nu e^x = sqrt(pi/2) x^{-1/2} sum a_k x^{-k} (DLMF 10.40.2) and
+    H^(1)_nu = sqrt(2/pi) e^{-i pi/4} (-i)^nu e^{iz} z^{-1/2} sum i^k a_k z^{-k}
+    (DLMF 10.17.5), the constant factors folded into the coefficients.  The
+    a_k are exact fractions, rounded once.
+    """
+    a = np.empty((_SERIES_TERMS, 2))
+    for nu in (0, 1):
+        term = Fraction(1)
+        for k in range(_SERIES_TERMS):
+            a[k, nu] = term
+            term *= Fraction(4 * nu * nu - (2 * k + 1) ** 2, 8 * (k + 1))
+    powers = 1j ** (np.arange(_SERIES_TERMS) % 4)
+    front_h = math.sqrt(2.0 / math.pi) * np.exp(-0.25j * math.pi) * np.array([1.0, -1j])
+    coef_k = math.sqrt(0.5 * math.pi) * a
+    coef_h = a * powers[:, None] * front_h
+    return coef_k[::-1, :, None], coef_h[::-1, :, None]
+
+
+_SERIES_K, _SERIES_H = _series_coefficients()
+
+
+def _seed_pair(z, evanescent: bool):
+    """(Z_0, Z_1) at every element of the 1-D ``z``, one (2, n) array.
+
+    Z is kve, K e^{x} (``evanescent``; ``z`` real), or H^(1).  At
+    |z| >= _SERIES_MIN_ABS with Re z > 0 both orders come from Hankel's
+    expansion: one Horner pass of _SERIES_TERMS terms in 1/z, times one
+    shared z^{-1/2} (and e^{iz} for H^(1), taken exactly from iz, not as
+    e^{i(z - pi/4)}, whose rounded phase costs |z| eps).  The other elements
+    take AMOS ``kve``/``hankel1``.  The series is formed on every element,
+    in place in the output, and the AMOS values overwrite it where they
+    apply; no operation mixes elements, so a value does not depend on its
+    batch.
+    """
+    coef = _SERIES_K if evanescent else _SERIES_H
+    out = np.empty((2, z.size), dtype=z.dtype)
+    near = np.empty(z.size, dtype=bool)
+    with np.errstate(all="ignore"):            # the elements AMOS overwrites
+        for lo in range(0, z.size, _SERIES_CHUNK):
+            zc, oc = z[lo:lo + _SERIES_CHUNK], out[:, lo:lo + _SERIES_CHUNK]
+            u = np.divide(1.0, zc)
+            oc[...] = coef[0]
+            # u broadcasts over both rows: a 1-D complex product written over
+            # one of its own operands rounds by position in the batch (numpy
+            # 2.4 on AVX-512), this one does not
+            for c in coef[1:]:
+                oc *= u
+                oc += c
+            np.sqrt(u, out=u)                  # z^{-1/2} (Re z > 0)
+            oc *= u
+            if not evanescent:
+                np.multiply(zc, 1j, out=u)     # iz, exactly
+                np.exp(u, out=u)
+                oc *= u
+            far = np.abs(zc) >= _SERIES_MIN_ABS
+            if not evanescent:
+                far &= zc.real > 0.0
+            np.logical_not(far, out=near[lo:lo + _SERIES_CHUNK])
+    if np.any(near):
+        zn = z[near]
+        fn = special.kve if evanescent else special.hankel1
+        out[0, near], out[1, near] = fn(0, zn), fn(1, zn)
+    return out
+
 
 def _exterior_pairs(m, z, evanescent, pair=True):
     """(Z_{m-1}, Z_m, log scale) at every element; Z = value * exp(log scale).
@@ -313,8 +390,9 @@ def _exterior_pairs(m, z, evanescent, pair=True):
     ``m`` and ``evanescent`` broadcast against the 1-D ``z``.  Where
     Im z < _FORWARD_MIN_IMAG, H^(1) is taken directly at orders m-1 and m
     when both are finite.  Every other element takes one scaled forward
-    recurrence per kind over its elements sorted by order, seeded by
-    kve e^{-x} (K) or hankel1 (H^(1)) at orders 0 and 1.  Every element
+    recurrence per kind over its elements sorted by order, seeded at orders
+    0 and 1 by ``_seed_pair``: Hankel's expansion at |z| >= _SERIES_MIN_ABS
+    (Re z > 0), AMOS kve e^{-x} (K) or hankel1 (H^(1)) below.  Every element
     goes through the same elementwise operations, so its result does not
     depend on the batch it sits in.
 
@@ -333,26 +411,28 @@ def _exterior_pairs(m, z, evanescent, pair=True):
     scale = np.empty(z.shape)
     by_order = np.argsort(m, kind="stable")
     k_idx, h_idx = by_order[evanescent[by_order]], by_order[~evanescent[by_order]]
-    x = z.real[k_idx]
+    x, mk, zh, mh = z.real[k_idx], m[k_idx], z[h_idx], m[h_idx]
+    # the arguments are not held through the recurrences: where the caller
+    # passed temporaries (the ratio arrays do), they are freed here
+    del z, m, evanescent, by_order
     lower[k_idx], value[k_idx], scale[k_idx] = _forward_recurrence(
-        m[k_idx], x, special.kve(0, x), special.kve(1, x), -x, 1.0)
-    zh = z[h_idx]
+        mk, x, _seed_pair(x, True), -x, 1.0)
+    del x, mk
     direct = zh.imag < _FORWARD_MIN_IMAG
     if np.any(direct):
-        idx, zd = h_idx[direct], zh[direct]
+        idx, zd, md = h_idx[direct], zh[direct], mh[direct]
         with np.errstate(over="ignore", invalid="ignore"):
-            h_m = special.hankel1(m[idx], zd)
+            h_m = special.hankel1(md, zd)
             call = np.isfinite(h_m) & (pair | ~(np.abs(h_m) < _RESCALE))
             h_m1 = np.full(idx.size, np.nan, dtype=complex)
-            h_m1[call] = special.hankel1(np.abs(m[idx[call]] - 1), zd[call])
-        h_m1[m[idx] == 0] *= -1.0      # H_{-1} = -H_1
+            h_m1[call] = special.hankel1(np.abs(md[call] - 1), zd[call])
+        h_m1[md == 0] *= -1.0          # H_{-1} = -H_1
         ok = np.isfinite(h_m) & (np.isfinite(h_m1) | ~call)
         lower[idx[ok]], value[idx[ok]], scale[idx[ok]] = h_m1[ok], h_m[ok], 0.0
         direct[direct] = ok            # an overflowing pair stays with the recurrence
-        h_idx, zh = h_idx[~direct], zh[~direct]
+        h_idx, zh, mh = h_idx[~direct], zh[~direct], mh[~direct]
     lower[h_idx], value[h_idx], scale[h_idx] = _forward_recurrence(
-        m[h_idx], zh, special.hankel1(0, zh), special.hankel1(1, zh),
-        np.zeros(zh.size), -1.0)
+        mh, zh, _seed_pair(zh, False), np.zeros(zh.size), -1.0)
     return lower, value, scale
 
 
@@ -397,12 +477,16 @@ def _ratio_array(m, z, z_ref, evanescent: bool):
     column.
     """
     ref = np.asarray(z_ref, dtype=z.dtype)
-    cols = np.concatenate([z.reshape(ref.size, -1), ref.reshape(-1, 1)], axis=1)
-    orders = np.broadcast_to(np.reshape(m, (-1, 1)), cols.shape).ravel()
-    _, value, scale = _exterior_pairs(orders, cols.ravel(), evanescent, pair=False)
+    shape = (ref.size, z.size // ref.size + 1)
+    # the batch and its orders go in as temporaries, which the exterior pair
+    # frees before its recurrences
+    _, value, scale = _exterior_pairs(
+        np.broadcast_to(np.reshape(m, (-1, 1)), shape).ravel(),
+        np.concatenate([z.reshape(ref.size, -1), ref.reshape(-1, 1)], axis=1).ravel(),
+        evanescent, pair=False)
     if evanescent:
         value = value.real
-    value, scale = value.reshape(cols.shape), scale.reshape(cols.shape)
+    value, scale = value.reshape(shape), scale.reshape(shape)
     with np.errstate(under="ignore"):
         out = (value[:, :-1] / value[:, -1:]) * np.exp(scale[:, :-1] - scale[:, -1:])
     return out.reshape(z.shape)

@@ -34,51 +34,67 @@ class TrajectorySample:
     mask: str = "all"
 
 
-def _mask_weights(frame: FieldFrame, mask: str, radius: float):
-    """Radial Jacobian weights restricted to a named region.
+def _mask_selection(frame: FieldFrame, mask: str, radius: float):
+    """Per-radius weight (0 to 1) of a named region.
 
     The mask edge is anti-aliased over one radial cell, which keeps the
     split second-order accurate in the grid spacing.
     """
     r = frame.r
-    w = np.abs(frame.values) ** 2 * r[:, None]
     if mask == "all":
-        sel = np.ones(len(r))
-    elif mask in ("interior", "exterior"):
+        return np.ones(len(r))
+    if mask in ("interior", "exterior"):
         edge = radius if mask == "interior" else radius + EXTERIOR_SKIRT
         sel = np.clip((edge - r) / frame.dr + 0.5, 0.0, 1.0)
-        if mask == "exterior":
-            sel = 1.0 - sel
-    else:
-        raise DomainError(f"unknown mask {mask!r}")
-    return w * sel[:, None]
+        return 1.0 - sel if mask == "exterior" else sel
+    raise DomainError(f"unknown mask {mask!r}")
 
 
-def _integrate(frame: FieldFrame, integrand):
-    # theta is periodic and uniform: exact trapezoid = plain sum * dtheta;
-    # the Jacobian integrand vanishes at r = 0, which closes the grid's core
-    per_r = np.concatenate([[0.0], integrand.sum(axis=1) * frame.dtheta])
-    return simpson(per_r, x=np.concatenate([[0.0], frame.r]))
+def _density_r(frame: FieldFrame):
+    """|psi|^2 r: the probability density with the polar Jacobian."""
+    density = np.abs(frame.values)
+    density *= density
+    density *= frame.r[:, None]
+    return density
+
+
+def _integrate_radial(frame: FieldFrame, per_r):
+    """Integral over the disk from ``per_r``, the integrand's theta sum at each radius.
+
+    theta is periodic and uniform, so the exact trapezoid rule in theta is
+    the plain sum times dtheta; the Jacobian integrand vanishes at r = 0,
+    which closes the grid's core.
+    """
+    return simpson(np.concatenate([[0.0], per_r * frame.dtheta]),
+                   x=np.concatenate([[0.0], frame.r]))
 
 
 def total_probability(frame: FieldFrame, mask: str = "all",
                       radius: float | None = None) -> float:
-    w = _mask_weights(frame, mask, radius if radius is not None else np.inf)
-    return float(_integrate(frame, w))
+    sel = _mask_selection(frame, mask, radius if radius is not None else np.inf)
+    return float(_integrate_radial(frame, (_density_r(frame) * sel[:, None]).sum(axis=1)))
 
 
 def average_position(frame: FieldFrame, mask: str = "all",
                      radius: float | None = None,
                      min_probability: float = 1.0e-6):
-    """Probability centroid over the masked region, polar-Jacobian weighted."""
-    w = _mask_weights(frame, mask, radius if radius is not None else np.inf)
-    total_all = _integrate(frame, np.abs(frame.values) ** 2 * frame.r[:, None])
-    prob = _integrate(frame, w)
+    """Probability centroid over the masked region, polar-Jacobian weighted.
+
+    One pass over the frame: the theta sums of |psi|^2 r against 1, cos and
+    sin, with the mask applied per radius.
+    """
+    sel = _mask_selection(frame, mask, radius if radius is not None else np.inf)
+    theta = frame.theta
+    basis = np.stack([np.ones_like(theta), np.cos(theta), np.sin(theta)])
+    total, cos_sum, sin_sum = np.einsum("rt,kt->kr", _density_r(frame), basis)
+    total_all = _integrate_radial(frame, total)
+    prob = _integrate_radial(frame, sel * total)
     if prob < min_probability * total_all:
         raise UndefinedCentroidError(
             f"mask {mask!r} carries {prob:.3e} of {total_all:.3e} total")
-    x = _integrate(frame, w * np.cos(frame.theta)[None, :] * frame.r[:, None])
-    y = _integrate(frame, w * np.sin(frame.theta)[None, :] * frame.r[:, None])
+    sel_r = sel * frame.r
+    x = _integrate_radial(frame, sel_r * cos_sum)
+    y = _integrate_radial(frame, sel_r * sin_sum)
     return np.array([x / prob, y / prob])
 
 

@@ -225,8 +225,9 @@ def _profile_table(table: ModeTable, rows, r, jobs: int = 1) -> np.ndarray:
     one ``hankel1_ratio_array`` over its H^(1) rows.  Inside, J_m is one
     Miller backward recurrence in the order per call and the ratio arrays
     one scaled forward recurrence, so the only per-point AMOS calls left are
-    the exterior seeds at orders 0 and 1 (and H^(1) far below the real axis,
-    see ``cylinder._exterior_pairs``).
+    the exterior seeds at orders 0 and 1 where |qr| < 20 (Hankel's expansion
+    gives them above) and H^(1) far below the real axis (see
+    ``cylinder._exterior_pairs``).
 
     The blocks are filled on ``jobs`` threads.  The split depends only on
     the table's shape, and every element goes through the same elementwise
