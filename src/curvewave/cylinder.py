@@ -27,6 +27,11 @@ Conventions used throughout the package:
   directly at orders m-1 and m when both are finite, and the recurrence
   value is kept where they overflow (callers that use Z_m only skip the m-1
   call where it cannot overflow).
+* both recurrences rescale a value that passes _RESCALE, and screen for one
+  (a max and a min reduction over the live buffer) only on the steps where a
+  bound on the values' growth, |Z_{mu+1}| <= (2 mu/|z|) |Z_mu| + |Z_{mu-1}|,
+  allows one: most steps cost their elementwise operations alone, and the
+  results are bitwise those of a screen on every step,
 * everything exterior is built on that pair: ``bessel_k_logderiv``,
   ``hankel1_logderiv`` and ``hankel1_scaled`` are one-element calls, the
   array ratios ``bessel_k_ratio_array`` and ``hankel1_ratio_array`` (the
@@ -150,6 +155,30 @@ def eval_cylinder(kind: str, m: int, z) -> CylinderEval:
 # the exterior pair: one scaled forward recurrence in the order
 # ---------------------------------------------------------------------------
 
+#: the overflow screens of both order recurrences run only where a bound G
+#: on the largest |value| in the live buffers allows one: each step takes it
+#: to (mu W G + G_prev) * _BOUND_SLACK, W = 2 / (smallest |z| among the
+#: elements still in the loop), G_prev the bound on the value before; the
+#: slack covers the few ulps of rounding in a step, in W and in G itself
+_BOUND_SLACK = 1.0 + 1.0e-12
+#: |Z| <= sqrt(2) * (largest |component|) < _SCREEN_BOUND * that
+_SCREEN_BOUND = 1.5
+
+
+def _screen(values):
+    """(rescale, bound): whether a component of ``values`` passes _RESCALE,
+    and if none does a bound on their |value|, else inf (screen again on the
+    next step).  Cheap: a max and a min over the components."""
+    parts = values.view(float)
+    high = np.maximum.reduce(parts)
+    if high > _RESCALE:
+        return True, math.inf
+    low = np.minimum.reduce(parts)
+    if low < -_RESCALE:
+        return True, math.inf
+    return False, _SCREEN_BOUND * float(max(high, -low))
+
+
 def _forward_recurrence(m, z, seeds, scale, sign: float):
     """(Z_{m-1}, Z_m, scale) at every element of the 1-D ``z``, from Z_0 and Z_1.
 
@@ -159,25 +188,36 @@ def _forward_recurrence(m, z, seeds, scale, sign: float):
     shrinking suffix of three buffers that it rotates, and the elements whose
     order it has reached leave with their pair.  An element whose value
     passes _RESCALE is divided by its magnitude, the log going into its
-    scale.  The inputs are not modified.
+    scale.  The screen for such values, ``_screen``, runs only on the steps
+    where the growth bound (see _BOUND_SLACK) allows one; a skipped screen
+    is one that would have found nothing, so the result is bitwise that of a
+    screen on every step.  The inputs are not modified.
     """
     orders = np.asarray(m, dtype=int)
     top = int(orders[-1]) if orders.size else 0
     # ends[mu]: number of leading elements whose order is <= mu
-    ends = np.searchsorted(orders, np.arange(top + 1), side="right").tolist()
-    (lower, value), out_scale = np.empty_like(seeds), np.empty_like(scale)
-    lo = ends[0]
-    lower[:lo], value[:lo], out_scale[:lo] = sign * seeds[1, :lo], seeds[0, :lo], scale[:lo]
+    ends = np.searchsorted(orders, np.arange(top + 1), side="right")
+    lo = lo0 = int(ends[0])
     # buffer position i holds element lo0 + i; the active suffix starts at lo
-    lo0 = lo
+    # reach[mu]: largest |2/z| on the active suffix of step mu, taken before
+    # the buffers are allocated
+    reach = np.abs(z[lo0:])
+    np.minimum.accumulate(reach[::-1], out=reach[::-1])
+    reach = (2.0 / reach[ends[:top] - lo0]).tolist()
+    ends = ends.tolist()
+    (lower, value), out_scale = np.empty_like(seeds, order="C"), np.empty_like(scale)
+    lower[:lo], value[:lo], out_scale[:lo] = sign * seeds[1, :lo], seeds[0, :lo], scale[:lo]
     # the seeds are dropped once copied, so that where the caller passed a
-    # temporary it is not held through the order loop
-    prev, cur = np.array(seeds[:, lo0:])
+    # temporary it is not held through the order loop; the copies' rows are
+    # contiguous, as the screen's component view needs
+    prev, cur = np.array(seeds[:, lo0:], order="C")
     del seeds
     scl = np.array(scale[lo0:])
     del scale
     nxt, w = np.empty_like(cur), 2.0 / z[lo0:]
     p_a, c_a, n_a, s_a, w_a = prev, cur, nxt, scl, w
+    # bounds on |prev| and |cur| over the active suffix; the seeds have none
+    bound_prev = bound_cur = math.inf
     for mu in range(1, top):
         if ends[mu] > lo:
             i, j = lo - lo0, ends[mu] - lo0
@@ -193,14 +233,15 @@ def _forward_recurrence(m, z, seeds, scale, sign: float):
             n_a -= p_a
         prev, cur, nxt = cur, nxt, prev       # cur is now Z_{mu+1}
         p_a, c_a, n_a = c_a, n_a, p_a
-        # cheap screen on the components; |Z| only where one is large
-        parts = c_a.view(float)
-        if np.maximum.reduce(parts) > _RESCALE or np.minimum.reduce(parts) < -_RESCALE:
-            big = np.flatnonzero(np.abs(c_a) > _RESCALE)
-            mag = np.abs(c_a[big])
-            p_a[big] /= mag
-            c_a[big] /= mag
-            s_a[big] += np.log(mag)
+        bound_prev, bound_cur = bound_cur, (mu * reach[mu] * bound_cur + bound_prev) * _BOUND_SLACK
+        if not bound_cur <= _RESCALE:         # a nan bound screens too
+            rescale, bound_cur = _screen(c_a)
+            if rescale:                       # |Z| only where a component is large
+                big = np.flatnonzero(np.abs(c_a) > _RESCALE)
+                mag = np.abs(c_a[big])
+                p_a[big] /= mag
+                c_a[big] /= mag
+                s_a[big] += np.log(mag)
     if lo == 0:
         return p_a, c_a, s_a
     lower[lo:], value[lo:], out_scale[lo:] = p_a, c_a, s_a
@@ -235,7 +276,10 @@ def _bessel_j(m, z):
     |z| eps, as it does for ``jv``.  The elements are sorted by start order,
     so the recurrence runs on a growing prefix; every element goes through
     the same elementwise operations, so its value does not depend on its
-    batch.
+    batch.  As in ``_forward_recurrence``, the screen for values past
+    _RESCALE runs only on the steps where the growth bound allows one (an
+    element that joins the prefix, at f = 1, raises the bound to at least
+    1), so the result is bitwise that of a screen on every step.
     """
     orders = _check_orders(m)
     z = np.asarray(z, dtype=complex if np.iscomplexobj(z) else float)
@@ -254,7 +298,12 @@ def _bessel_j(m, z):
     n = idx.size
     top = int(start[0]) if n else 0
     # active[mu]: elements whose start order is >= mu, a prefix
-    active = np.searchsorted(-start, -np.arange(top + 1), side="right").tolist()
+    active = np.searchsorted(-start, -np.arange(top + 1), side="right")
+    # reach[mu]: largest |2/z| on the active prefix of step mu
+    reach = np.abs(z[idx])
+    np.minimum.accumulate(reach, out=reach)
+    reach = (2.0 / reach[active - 1]).tolist() if n else []
+    active = active.tolist()
     # the elements of order mu are by_order[first[mu]:first[mu + 1]]
     by_order = np.argsort(order, kind="stable")
     first = np.searchsorted(order[by_order], np.arange(top + 2)).tolist()
@@ -264,10 +313,12 @@ def _bessel_j(m, z):
     expo = np.zeros(n, int)
     kept, kept_expo = np.empty((2, n), z.dtype), np.zeros((2, n), int)
     a = 0
+    bound_prev = bound_cur = 0.0              # bounds on |prev| and |cur| over the prefix
     for mu in range(top, 0, -1):
         if active[mu] > a:
             prev[a:active[mu]], cur[a:active[mu]] = 0.0, 1.0
             a = active[mu]
+            bound_cur = max(bound_cur, 1.0)
             # the active prefixes, taken once per change of a
             p_a, c_a, n_a, w_a, s_a = prev[:a], cur[:a], nxt[:a], w[:a], even_sum[:a]
         np.multiply(w_a, c_a, out=n_a)
@@ -275,15 +326,17 @@ def _bessel_j(m, z):
         n_a -= p_a
         prev, cur, nxt = cur, nxt, prev       # cur is now f_{mu-1}
         p_a, c_a, n_a = c_a, n_a, p_a
-        parts = c_a.view(float)
-        if np.maximum.reduce(parts) > _RESCALE or np.minimum.reduce(parts) < -_RESCALE:
-            grown = np.flatnonzero(np.abs(cur[:a]) > _RESCALE)
-            _, e = np.frexp(np.abs(cur[grown]))
-            factor = np.ldexp(1.0, -e)
-            prev[grown] *= factor
-            cur[grown] *= factor
-            even_sum[grown] *= factor
-            expo[grown] += e
+        bound_prev, bound_cur = bound_cur, (mu * reach[mu] * bound_cur + bound_prev) * _BOUND_SLACK
+        if not bound_cur <= _RESCALE:         # a nan bound screens too
+            rescale, bound_cur = _screen(c_a)
+            if rescale:
+                grown = np.flatnonzero(np.abs(cur[:a]) > _RESCALE)
+                _, e = np.frexp(np.abs(cur[grown]))
+                factor = np.ldexp(1.0, -e)
+                prev[grown] *= factor
+                cur[grown] *= factor
+                even_sum[grown] *= factor
+                expo[grown] += e
         if mu % 2 == 1 and mu > 1:
             s_a += c_a
         # f_{mu-1} is J_m of the order mu - 1 and J_{m-1} of the order mu

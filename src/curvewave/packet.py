@@ -275,12 +275,28 @@ def _profile_table(table: ModeTable, rows, r, jobs: int = 1) -> np.ndarray:
 
 
 def _angular_coefficients(spec: PacketSpec, nodes, n_theta: int) -> np.ndarray:
-    """Fourier coefficients over theta of the launched packet, per radius."""
+    """Fourier coefficients over theta of the launched packet, per radius.
+
+    With the impact point at polar (rho, theta_c) and d = r u(theta) minus it,
+    |d|^2 = (r - rho)^2 + 4 r rho sin^2((theta - theta_c)/2) and
+    d . k = r (u . k) - impact . k, so the launched Gaussian (``gaussian_free``
+    at t0) factors as exp(alpha(r) + r beta(theta)): each sample costs one
+    product, one sum and one exponential.  Written so, the Gaussian's
+    exponent has no cancellation near the impact point, where it peaks.
+    """
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    xy = np.empty((len(nodes), n_theta, 2))
-    xy[..., 0] = nodes[:, None] * np.cos(theta)[None, :]
-    xy[..., 1] = nodes[:, None] * np.sin(theta)[None, :]
-    psi = gaussian_free(spec, xy.reshape(-1, 2), spec.t0).reshape(len(nodes), n_theta)
+    sig, t = spec.sigma, spec.t0
+    denom = 1.0 + 1j * sig * t
+    impact, kvec = np.asarray(spec.impact, dtype=float), spec.k0 * spec.direction
+    rho, theta_c = spec.boundary_radius, math.atan2(impact[1], impact[0])
+    half = np.sin(0.5 * (theta - theta_c))
+    beta = (-2.0 * sig * rho * half * half
+            + 1j * (kvec[0] * np.cos(theta) + kvec[1] * np.sin(theta))) / denom
+    alpha = ((-0.5 * sig * (nodes - rho) ** 2 - 1j * (impact @ kvec) - 1j * spec.e0 * t) / denom
+             + np.log(math.sqrt(sig / math.pi) / denom))
+    psi = np.multiply.outer(nodes, beta)
+    psi += alpha[:, None]
+    np.exp(psi, out=psi)
     return np.fft.fft(psi, axis=1) / n_theta
 
 

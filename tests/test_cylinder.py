@@ -142,6 +142,96 @@ def test_bessel_j_recurrence_rejects_bad_input():
         cylinder._bessel_j(3, np.array([np.nan]))
 
 
+def _bessel_j_loop(orders, z):
+    """The Miller loop that ``cylinder._bessel_j`` ran before its screens were
+    bounded: the max/min screen on every step.  ``orders`` holds one order per
+    element of the 1-D ``z``.  Returns (J_{m-1}, J_m, number of steps whose
+    screen rescaled)."""
+    lower = (orders == 1).astype(z.dtype)
+    value = (orders == 0).astype(z.dtype)
+    idx = np.flatnonzero(z != 0)
+    big = np.maximum(orders[idx], np.abs(z[idx]))
+    start = 2 * np.ceil(0.5 * (big + 10.0 + 8.0 * np.cbrt(big))).astype(int)
+    by_start = np.argsort(-start, kind="stable")
+    idx, start = idx[by_start], start[by_start]
+    order, w = orders[idx], 2.0 / z[idx]
+    n = idx.size
+    top = int(start[0]) if n else 0
+    active = np.searchsorted(-start, -np.arange(top + 1), side="right").tolist()
+    by_order = np.argsort(order, kind="stable")
+    first = np.searchsorted(order[by_order], np.arange(top + 2)).tolist()
+    prev, cur, nxt = np.zeros(n, z.dtype), np.ones(n, z.dtype), np.empty(n, z.dtype)
+    even_sum = np.ones(n, z.dtype)
+    expo = np.zeros(n, int)
+    kept, kept_expo = np.empty((2, n), z.dtype), np.zeros((2, n), int)
+    a = rescales = 0
+    for mu in range(top, 0, -1):
+        if active[mu] > a:
+            prev[a:active[mu]], cur[a:active[mu]] = 0.0, 1.0
+            a = active[mu]
+            p_a, c_a, n_a, w_a, s_a = prev[:a], cur[:a], nxt[:a], w[:a], even_sum[:a]
+        np.multiply(w_a, c_a, out=n_a)
+        n_a *= mu
+        n_a -= p_a
+        prev, cur, nxt = cur, nxt, prev
+        p_a, c_a, n_a = c_a, n_a, p_a
+        parts = c_a.view(float)
+        if (np.maximum.reduce(parts) > cylinder._RESCALE
+                or np.minimum.reduce(parts) < -cylinder._RESCALE):
+            rescales += 1
+            grown = np.flatnonzero(np.abs(cur[:a]) > cylinder._RESCALE)
+            _, e = np.frexp(np.abs(cur[grown]))
+            factor = np.ldexp(1.0, -e)
+            prev[grown] *= factor
+            cur[grown] *= factor
+            even_sum[grown] *= factor
+            expo[grown] += e
+        if mu % 2 == 1 and mu > 1:
+            s_a += c_a
+        for row, lo, hi in ((1, first[mu - 1], first[mu]), (0, first[mu], first[mu + 1])):
+            if hi > lo:
+                here = by_order[lo:hi]
+                kept[row, here], kept_expo[row, here] = cur[here], expo[here]
+    zero = by_order[:first[1]]
+    kept[0, zero], kept_expo[0, zero] = -prev[zero], expo[zero]
+    norm = cur + 2.0 * even_sum
+    with np.errstate(under="ignore"):
+        for out, row in ((lower, 0), (value, 1)):
+            out[idx] = kept[row] / norm * np.ldexp(1.0, kept_expo[row] - expo)
+    return lower, value, rescales
+
+
+def test_bessel_j_matches_loop_oracle():
+    # bitwise against the loop that screens on every step, on mixed-order
+    # batches, real and complex, with |z| from 1e-40 to 1e3 (the small ones
+    # rescale, and their high orders underflow to 0), orders 0-260 and zeros.
+    # Every third batch spans one decade of |z| in [0.1, 300], so the bound's
+    # |2/z| is near every element's own and the bound follows the values
+    # closely as they pass _RESCALE.
+    rng = np.random.default_rng(24)
+    rescaled = underflowed = zeros = 0
+    for i in range(24):
+        n = int(rng.integers(1, 150))
+        orders = rng.integers(0, 261, n)
+        decade = rng.uniform(-1.0, 1.5) if i % 3 == 2 else None
+        r = 10.0 ** (rng.uniform(-40.0, 3.0, n) if decade is None
+                     else rng.uniform(decade, decade + 1.0, n))
+        r[rng.random(n) < 0.1] = 0.0
+        if i % 2:
+            z = r * rng.choice([-1.0, 1.0], n)
+        else:
+            phase = rng.uniform(-math.pi, math.pi, n)
+            z = r * np.cos(phase) + 1j * np.clip(r * np.sin(phase), -30.0, 30.0)
+        lower, value, rescales = _bessel_j_loop(orders, z)
+        got = cylinder._bessel_j(orders, z)
+        for g, w in zip(got, (lower, value)):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (i, orders)
+        rescaled += rescales > 0
+        underflowed += np.count_nonzero((value == 0.0) & (z != 0.0))
+        zeros += np.count_nonzero(z == 0.0)
+    assert rescaled >= 5 and underflowed >= 10 and zeros >= 10
+
+
 def test_hankel1_small_argument_oracle():
     ref = series_bessel_j(1, 1.0) + 1j * series_bessel_y(1, 1.0)
     assert ref == pytest.approx(0.4400505857449335 - 0.7812128213002887j, rel=1e-12)
@@ -635,23 +725,46 @@ def _forward_recurrence_loop(m, z, a, b, scale, sign):
     return lower, value, out_scale
 
 
-def test_forward_recurrence_matches_loop_oracle():
-    # bitwise against the plain loop, on mixed-order K and H^(1) batches whose
-    # values pass _RESCALE, and on batches of one order (no element leaves
-    # before the top order); the seed arrays stay as they were
-    rng = np.random.default_rng(7)
+def _oracle_batches(rng, steep):
+    """(orders, z, seed factor) batches of the forward-recurrence oracle test:
+    mixed orders, K (real z) on odd batches and H^(1) on even ones."""
     batches = [np.sort(rng.integers(0, 261, int(rng.integers(1, 120)))) for _ in range(16)]
     batches += [np.array([0, 0]), np.array([1, 1, 1]), np.array([0, 1]), np.full(3, 200)]
-    rescaled = {1.0: 0, -1.0: 0}
+    steep_orders = [np.sort(steep.integers(240, 261, int(steep.integers(1, 60))))
+                    for _ in range(8)]
     for i, orders in enumerate(batches):
         n = orders.size
-        if i % 2:
-            x = rng.uniform(0.05, 300.0, n)
-            args = (orders, x, np.array([special.kve(0, x), special.kve(1, x)]), -x, 1.0)
+        yield orders, (rng.uniform(0.05, 300.0, n) if i % 2 else
+                       rng.uniform(0.05, 60.0, n) + 1j * rng.uniform(-4.0, 3.0, n)), 1.0
+    for i, orders in enumerate(steep_orders):
+        n = orders.size
+        r = steep.uniform(1e-3, 0.05, n)
+        yield orders, (r if i % 2 else r * np.exp(1j * steep.uniform(-math.pi, math.pi, n))), 1.0
+    for i in range(4):
+        orders, x = np.sort(steep.integers(150, 261, 40)), steep.uniform(120.0, 250.0, 40)
+        yield orders, (x if i % 2 else x + 1j * steep.uniform(-2.0, 2.0, 40)), 1e248
+
+
+def test_forward_recurrence_matches_loop_oracle():
+    # bitwise against the plain loop, which screens on every step, on
+    # mixed-order K and H^(1) batches whose values pass _RESCALE, on batches
+    # of one order (no element leaves before the top order), on batches at
+    # |z| <= 0.05 and orders near 260, whose values grow fastest and pass
+    # _RESCALE every few steps, and on batches whose seeds start near
+    # _RESCALE at |z| >= 120, where 2 mu/|z| is about 1 and the bound's
+    # Z_{mu-1} term counts; every third batch passes its seeds F-ordered, so
+    # that each row is strided; the seed arrays stay as they were
+    rescaled = {1.0: 0, -1.0: 0}
+    batches = _oracle_batches(np.random.default_rng(7), np.random.default_rng(24))
+    for i, (orders, z, factor) in enumerate(batches):
+        if np.isrealobj(z):
+            args = (orders, z, factor * np.array([special.kve(0, z), special.kve(1, z)]),
+                    -z, 1.0)
         else:
-            z = rng.uniform(0.05, 60.0, n) + 1j * rng.uniform(-4.0, 3.0, n)
-            args = (orders, z, np.array([special.hankel1(0, z), special.hankel1(1, z)]),
-                    np.zeros(n), -1.0)
+            args = (orders, z, factor * np.array([special.hankel1(0, z), special.hankel1(1, z)]),
+                    np.zeros(orders.size), -1.0)
+        if i % 3 == 0:                        # seed rows that are not contiguous
+            args = args[:2] + (np.asfortranarray(args[2]),) + args[3:]
         seeds = [x.copy() for x in args[:4]]
         got = cylinder._forward_recurrence(*args)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(args[:4], seeds)), i

@@ -321,6 +321,39 @@ def test_panels_end_at_step_and_converge(deep_packet, small_table,
     assert np.max(np.abs(halved.coeff - deep_expansion.coeff)) <= 1e-13
 
 
+def _angular_coefficients_cartesian(spec, nodes, n_theta):
+    """The transform that ``packet._angular_coefficients`` replaced:
+    ``gaussian_free`` on a Cartesian copy of the (radius, angle) grid."""
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    xy = np.empty((len(nodes), n_theta, 2))
+    xy[..., 0] = nodes[:, None] * np.cos(theta)[None, :]
+    xy[..., 1] = nodes[:, None] * np.sin(theta)[None, :]
+    psi = gaussian_free(spec, xy.reshape(-1, 2), spec.t0).reshape(len(nodes), n_theta)
+    return np.fft.fft(psi, axis=1) / n_theta
+
+
+@pytest.mark.parametrize("spec, n_theta", [
+    (PacketSpec(m0=0.0, k0=40.0), 1024),
+    (PacketSpec(m0=75.0, k0=75.0), 1024),
+    (PacketSpec(m0=-75.0, k0=75.0), 1024),
+    (PacketSpec(m0=120.0, k0=90.0), 1024),
+    (PacketSpec(m0=140.0, k0=140.0), 2048),
+    (PacketSpec(m0=53.0, k0=53.0, sigma=14.4), 1024),
+    (PacketSpec(m0=30.0, k0=50.0, impact=(1.2, -1.6)), 1024),
+])
+def test_angular_coefficients_match_cartesian_path(spec, n_theta):
+    # the polar factorisation against the Cartesian path on an expansion's
+    # nodes; measured max |difference| / max |coefficient| 6e-15 to 2.9e-14
+    # (2.9e-14 at k0 = 140)
+    lo, hi = packet._support_interval(spec)
+    k_fast = spec.k0 + 6.0 * math.sqrt(spec.sigma / 2.0)
+    nodes, _ = packet._gauss_legendre_nodes(lo, hi, packet.PANEL_WIDTH / k_fast, 2.0)
+    got = packet._angular_coefficients(spec, nodes, n_theta)
+    want = _angular_coefficients_cartesian(spec, nodes, n_theta)
+    assert got.shape == want.shape == (len(nodes), n_theta)
+    assert np.max(np.abs(got - want)) <= 5e-14 * np.max(np.abs(want))
+
+
 def _ring_coefficient(log_pre, v, mu):
     """(1/2 pi) int exp(log_pre + v . (cos phi, sin phi)) e^{-i mu phi} dphi.
 
