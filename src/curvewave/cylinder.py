@@ -23,10 +23,13 @@ Conventions used throughout the package:
   plus m elementwise steps cost a fraction of that.  The recurrence is
   stable for K and, on and above the real axis, for H^(1) (W. Gautschi,
   SIAM Rev. 9, 24 (1967)).  Far below the axis H^(1) turns minimal under
-  the turning point, so there is one rule: where Im z < -4, H^(1) is taken
-  directly at orders m-1 and m when both are finite, and the recurrence
-  value is kept where they overflow (callers that use Z_m only skip the m-1
-  call where it cannot overflow).
+  the turning point, so there is one rule (``_direct_hankel``): where
+  Im z < -4, H^(1) is taken directly at orders m-1 and m when both are
+  finite, and the recurrence value is kept where they overflow (callers
+  that use Z_m only skip the m-1 call where it cannot overflow).  Elements
+  far above the turning point, |z| >= 2m + 10 with -12 <= Im z, stay with
+  the recurrence: there H^(1) is dominant at every order it passes, and
+  the recurrence is the more accurate of the two.
 * both recurrences rescale a value that passes _RESCALE, and screen for one
   (a max and a min reduction over the live buffer) only on the steps where a
   bound on the values' growth, |Z_{mu+1}| <= (2 mu/|z|) |Z_mu| + |Z_{mu-1}|,
@@ -353,9 +356,29 @@ def _bessel_j(m, z):
     return lower, value
 
 
-#: below this Im z H^(1) is taken directly (see _exterior_pairs); the forward
-#: recurrence's rounding error there grows like e^{2 |Im z|} * eps
+#: below this Im z H^(1) is taken directly (see _direct_hankel) where the
+#: forward recurrence passes under the turning point (|z| < m): H^(1) is
+#: minimal there, and the recurrence's rounding error grows like
+#: e^{2 |Im z|} * eps (2.7e-9 at Im z = -8 near |z| = m)
 _FORWARD_MIN_IMAG = -4.0
+#: the recurrence keeps the elements far above the turning point,
+#: |z| >= 2m + 10, down to this Im z.  There H^(1) is dominant at every order
+#: the recurrence passes, and against 30 digits just above |z| = 2m + 10 it
+#: errs by 4.8e-15 / 7.2e-15 / 7.3e-15 / 1.6e-14 / 3.9e-14 / 4.2e-12 at
+#: Im z = -4.5 / -8 / -12 / -16 / -20 / -40, AMOS by 4e-14 to 1e-13; the cap
+#: keeps the recurrence at least 5x more accurate than AMOS
+_FORWARD_FAR_MIN_IMAG = -12.0
+
+
+def _direct_hankel(m, z):
+    """Where ``_exterior_pairs`` takes H^(1)_m(z) directly from AMOS: below
+    Im z = _FORWARD_MIN_IMAG, except far above the turning point
+    (|z| >= 2m + 10) on Im z >= _FORWARD_FAR_MIN_IMAG.  Elementwise."""
+    z = np.asarray(z)
+    below = z.imag < _FORWARD_MIN_IMAG
+    if not np.any(below):                     # the mode solver's usual batch
+        return below
+    return below & ((np.abs(z) < 2 * np.asarray(m) + 10) | (z.imag < _FORWARD_FAR_MIN_IMAG))
 
 #: the seeds come from Hankel's expansion at |z| >= _SERIES_MIN_ABS (Re z > 0)
 #: and from AMOS below; _SERIES_TERMS terms leave a truncation error of
@@ -441,8 +464,9 @@ def _exterior_pairs(m, z, evanescent, pair=True):
 
     Z is K_m(Re z) where ``evanescent`` is set and H^(1)_m(z) elsewhere;
     ``m`` and ``evanescent`` broadcast against the 1-D ``z``.  Where
-    Im z < _FORWARD_MIN_IMAG, H^(1) is taken directly at orders m-1 and m
-    when both are finite.  Every other element takes one scaled forward
+    ``_direct_hankel`` holds (Im z < _FORWARD_MIN_IMAG, but not far above
+    the turning point), H^(1) is taken directly at orders m-1 and m when
+    both are finite.  Every other element takes one scaled forward
     recurrence per kind over its elements sorted by order, seeded at orders
     0 and 1 by ``_seed_pair``: Hankel's expansion at |z| >= _SERIES_MIN_ABS
     (Re z > 0), AMOS kve e^{-x} (K) or hankel1 (H^(1)) below.  Every element
@@ -471,7 +495,7 @@ def _exterior_pairs(m, z, evanescent, pair=True):
     lower[k_idx], value[k_idx], scale[k_idx] = _forward_recurrence(
         mk, x, _seed_pair(x, True), -x, 1.0)
     del x, mk
-    direct = zh.imag < _FORWARD_MIN_IMAG
+    direct = _direct_hankel(mh, zh)
     if np.any(direct):
         idx, zd, md = h_idx[direct], zh[direct], mh[direct]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -565,7 +589,7 @@ def hankel1_ratio_array(m, z, z_ref):
     (m > |z|) and neutral where it oscillates.  Below the axis, under the
     turning point, H^(1) decays in the order while H^(2) grows, so rounding
     is amplified by up to e^{2 |Im z|}; there the direct value is used (see
-    ``_exterior_pairs``).
+    ``_direct_hankel``).
     """
     m = _check_orders(m)
     return _ratio_array(m, np.asarray(z, dtype=complex), z_ref, False)

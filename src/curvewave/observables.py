@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .errors import DomainError, FitQualityError, RangeError, UndefinedCentroidError
-from .packet import FieldFrame, PacketSpec
+from .packet import FieldFrame, FieldSnapshot, PacketSpec
 from .potential import PotentialSpec
 from .spectrum import TUNNELING, _image_distance
 
@@ -34,74 +34,65 @@ class TrajectorySample:
     mask: str = "all"
 
 
-def _mask_selection(frame: FieldFrame, mask: str, radius: float):
+def _mask_selection(field, mask: str, radius: float):
     """Per-radius weight (0 to 1) of a named region.
 
     The mask edge is anti-aliased over one radial cell, which keeps the
     split second-order accurate in the grid spacing.
     """
-    r = frame.r
+    r = field.r
     if mask == "all":
         return np.ones(len(r))
     if mask in ("interior", "exterior"):
         edge = radius if mask == "interior" else radius + EXTERIOR_SKIRT
-        sel = np.clip((edge - r) / frame.dr + 0.5, 0.0, 1.0)
+        sel = np.clip((edge - r) / field.dr + 0.5, 0.0, 1.0)
         return 1.0 - sel if mask == "exterior" else sel
     raise DomainError(f"unknown mask {mask!r}")
 
 
-def _density_r(frame: FieldFrame):
-    """|psi|^2 r: the probability density with the polar Jacobian."""
-    density = np.abs(frame.values)
-    density *= density
-    density *= frame.r[:, None]
-    return density
+def _integrate_radial(r, per_r):
+    """Integral over r of ``per_r``, an integrand that vanishes at r = 0.
 
-
-def _integrate_radial(frame: FieldFrame, per_r):
-    """Integral over the disk from ``per_r``, the integrand's theta sum at each radius.
-
-    theta is periodic and uniform, so the exact trapezoid rule in theta is
-    the plain sum times dtheta; the Jacobian integrand vanishes at r = 0,
+    The polar Jacobian r makes every integrand here vanish at the origin,
     which closes the grid's core.
     """
-    return simpson(np.concatenate([[0.0], per_r * frame.dtheta]),
-                   x=np.concatenate([[0.0], frame.r]))
+    return simpson(np.concatenate([[0.0], per_r]), x=np.concatenate([[0.0], r]))
 
 
-def total_probability(frame: FieldFrame, mask: str = "all",
+def total_probability(field: FieldSnapshot | FieldFrame, mask: str = "all",
                       radius: float | None = None) -> float:
-    sel = _mask_selection(frame, mask, radius if radius is not None else np.inf)
-    return float(_integrate_radial(frame, (_density_r(frame) * sel[:, None]).sum(axis=1)))
+    sel = _mask_selection(field, mask, radius if radius is not None else np.inf)
+    return float(_integrate_radial(field.r, sel * field.angular_moments()[0] * field.r))
 
 
-def average_position(frame: FieldFrame, mask: str = "all",
+def average_position(field: FieldSnapshot | FieldFrame, mask: str = "all",
                      radius: float | None = None,
                      min_probability: float = 1.0e-6):
     """Probability centroid over the masked region, polar-Jacobian weighted.
 
-    One pass over the frame: the theta sums of |psi|^2 r against 1, cos and
-    sin, with the mask applied per radius.
+    From the field's ``angular_moments``, the theta integrals of |psi|^2
+    against 1 and e^{i theta} per radius, with the mask applied per radius.
+    A snapshot gives them from its angular columns (Parseval, exact for the
+    column sum); a polar frame from its samples.
     """
-    sel = _mask_selection(frame, mask, radius if radius is not None else np.inf)
-    theta = frame.theta
-    basis = np.stack([np.ones_like(theta), np.cos(theta), np.sin(theta)])
-    total, cos_sum, sin_sum = np.einsum("rt,kt->kr", _density_r(frame), basis)
-    total_all = _integrate_radial(frame, total)
-    prob = _integrate_radial(frame, sel * total)
+    sel = _mask_selection(field, mask, radius if radius is not None else np.inf)
+    total, first = field.angular_moments()
+    total_r = total * field.r
+    total_all = _integrate_radial(field.r, total_r)
+    prob = _integrate_radial(field.r, sel * total_r)
     if prob < min_probability * total_all:
         raise UndefinedCentroidError(
             f"mask {mask!r} carries {prob:.3e} of {total_all:.3e} total")
-    sel_r = sel * frame.r
-    x = _integrate_radial(frame, sel_r * cos_sum)
-    y = _integrate_radial(frame, sel_r * sin_sum)
+    first_r2 = first * (sel * field.r * field.r)
+    x = _integrate_radial(field.r, first_r2.real)
+    y = _integrate_radial(field.r, first_r2.imag)
     return np.array([x / prob, y / prob])
 
 
-def interior_fraction(frame: FieldFrame, radius: float) -> float:
+def interior_fraction(field: FieldSnapshot | FieldFrame, radius: float) -> float:
     """Probability inside r < R relative to the whole analysis disk."""
-    inner = total_probability(frame, "interior", radius)
-    total = total_probability(frame, "all")
+    inner = total_probability(field, "interior", radius)
+    total = total_probability(field, "all")
     return float(inner / total)
 
 

@@ -448,6 +448,15 @@ class FieldFrame:
     def dtheta(self) -> float:
         return float(self.theta[1] - self.theta[0])
 
+    def angular_moments(self):
+        """(M0, M1) per radius: the theta integrals of |psi|^2 and |psi|^2 e^{i theta},
+        by the trapezoid sum over the frame's samples."""
+        density = np.abs(self.values)
+        density *= density
+        basis = np.stack([np.ones_like(self.theta), np.cos(self.theta), np.sin(self.theta)])
+        total, cos_sum, sin_sum = np.einsum("rt,kt->kr", density, basis) * self.dtheta
+        return total, cos_sum + 1j * sin_sum
+
 
 class FieldEvaluator:
     """Caches mode radial profiles; evaluates the field at any time or point.
@@ -457,9 +466,10 @@ class FieldEvaluator:
     ``_profile_table``, in row blocks of a few batched kernel calls each,
     filled on ``jobs`` threads (bitwise the same table for any ``jobs``), and
     scaled by the norm column.  A time snapshot reduces the expansion to
-    per-angular-frequency radial columns; polar frames come out exactly on
-    the grid (inverse FFT over theta), scattered points via a cubic spline in
-    r and exact phases in theta.
+    per-angular-frequency radial columns; the observables' theta moments come
+    from the columns, polar frames exactly on the grid (inverse FFT over
+    theta), scattered points via a cubic spline in r and exact phases in
+    theta.
     """
 
     def __init__(self, expansion: Expansion, table: ModeTable,
@@ -499,12 +509,40 @@ class FieldEvaluator:
 
 
 class FieldSnapshot:
+    """The field at one instant as angular columns on the evaluator's radii.
+
+    psi(r, theta) = sum_j cols[:, j] e^{i mu_j theta}.  The observables read
+    the columns directly (``angular_moments``); ``polar_frame`` samples them
+    on the theta grid and ``at_points`` at scattered points.
+    """
+
     def __init__(self, ev: FieldEvaluator, mu_values, cols, t_paper):
         self._ev = ev
         self.mu_values = mu_values
         self.cols = cols
         self.time = t_paper
         self._spline = None
+
+    @property
+    def r(self) -> np.ndarray:
+        return self._ev.r
+
+    @property
+    def dr(self) -> float:
+        return float(self.r[1] - self.r[0])
+
+    def angular_moments(self):
+        """(M0, M1) per radius: the theta integrals of |psi|^2 and |psi|^2 e^{i theta}.
+
+        By Parseval, M0 = 2 pi sum_mu |c_mu|^2 and M1 = 2 pi sum_mu c_mu
+        conj(c_{mu+1}), exact for the column sum, at O(nr n_mu) cost.  A polar
+        frame's trapezoid sum equals them only while 2 max|mu| + 1 < ntheta.
+        """
+        parts = self.cols.view(float)
+        total = np.einsum("rj,rj->r", parts, parts)
+        step = np.flatnonzero(np.diff(self.mu_values) == 1)
+        first = np.einsum("rj,rj->r", self.cols[:, step], self.cols[:, step + 1].conj())
+        return 2.0 * np.pi * total, 2.0 * np.pi * first
 
     def polar_frame(self) -> FieldFrame:
         ntheta = self._ev.grid.ntheta

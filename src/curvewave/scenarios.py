@@ -321,8 +321,7 @@ def run_gh(ws: Workspace) -> dict:
     samples = []
     rows = []
     for t in list(cfg.gh_times_pre) + list(cfg.gh_times_post):
-        frame = ev.snapshot(t, spec.s0).polar_frame()
-        pos = obs.average_position(frame)
+        pos = obs.average_position(ev.snapshot(t, spec.s0))
         samples.append(obs.TrajectorySample(t, tuple(pos)))
         rows.append((t, pos[0], pos[1], "all"))
     ser.write_csv(ws.path(f"gh_fit_{cfg.preset}.csv"), ("t", "x", "y", "mask"), rows)
@@ -356,9 +355,8 @@ def run_husimi(ws: Workspace) -> dict:
     out = {"delta_predicted": obs.delta_predicted(ws.expansion(), ws.table(), pot)}
     centroids = {}
     for t in (t1, t2):
-        frame = snaps[t].polar_frame()
         try:
-            c = obs.average_position(frame, "exterior", pot.radius)
+            c = obs.average_position(snaps[t], "exterior", pot.radius)
             centroids[t] = (float(c[0]), float(c[1]))
         except CurvewaveError:
             centroids[t] = (float("nan"), float("nan"))
@@ -405,10 +403,10 @@ def run_fractions(ws: Workspace) -> dict:
     samples = []
     out = {}
     for t in cfg.fraction_times:
-        frame = ev.snapshot(t, spec.s0).polar_frame()
-        out[f"interior_fraction_t{t:g}"] = obs.interior_fraction(frame, pot.radius)
+        snap = ev.snapshot(t, spec.s0)
+        out[f"interior_fraction_t{t:g}"] = obs.interior_fraction(snap, pot.radius)
         try:
-            c = obs.average_position(frame, "exterior", pot.radius)
+            c = obs.average_position(snap, "exterior", pot.radius)
             samples.append(obs.TrajectorySample(t, tuple(c), "exterior"))
         except CurvewaveError:
             pass

@@ -109,8 +109,8 @@ def test_criterion_3_reconstruction_fidelity(pot, packet_b, table_b, expansion_b
 def _gh_samples(ev, spec, times):
     out = []
     for t in times:
-        frame = ev.snapshot(t, spec.s0).polar_frame()
-        out.append(obs.TrajectorySample(t, tuple(obs.average_position(frame))))
+        snap = ev.snapshot(t, spec.s0)
+        out.append(obs.TrajectorySample(t, tuple(obs.average_position(snap))))
     return out
 
 
@@ -174,8 +174,7 @@ def husimi_b(pot, packet_b, table_b, expansion_b_evolution):
     snaps = {t: ev.snapshot(t, packet_b.s0) for t in (7.5, 10.0)}
     centroids = {}
     for t, sn in snaps.items():
-        frame = sn.polar_frame()
-        centroids[t] = obs.average_position(frame, "exterior", pot.radius,
+        centroids[t] = obs.average_position(sn, "exterior", pot.radius,
                                             min_probability=0.0)
     alphas = np.arange(-0.15, 0.0501, 0.005)
     d_grid = np.arange(2.0, 7.0001, 0.05)
@@ -261,10 +260,10 @@ def test_criterion_7_one_dimensional_delays():
 
 def _fraction_run(pot, spec, table, exp):
     ev = FieldEvaluator(exp, table, GridSpec(r_max=3.0, nr=800, ntheta=1024))
-    frames = {t: ev.snapshot(t, spec.s0).polar_frame() for t in (1.6, 2.0)}
-    frac = obs.interior_fraction(frames[2.0], pot.radius)
+    snaps = {t: ev.snapshot(t, spec.s0) for t in (1.6, 2.0)}
+    frac = obs.interior_fraction(snaps[2.0], pot.radius)
     samples = [obs.TrajectorySample(t, tuple(
-        obs.average_position(frames[t], "exterior", pot.radius))) for t in (1.6, 2.0)]
+        obs.average_position(snaps[t], "exterior", pot.radius))) for t in (1.6, 2.0)]
     angle = obs.transmission_direction(samples, spec)
     return frac, angle
 

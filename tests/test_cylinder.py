@@ -455,11 +455,12 @@ def test_ratio_recurrence_against_direct_path():
 
 def test_ratio_recurrence_orders_zero_and_one():
     # the AMOS quotients bitwise below |z| = 20 and on the direct branch
-    # (Im z < -4); at 40 - 2i the seed is Hankel's expansion, against 40 digits
+    # (``_direct_hankel``); at 40 - 2i the seed is Hankel's expansion, against
+    # 40 digits
     z = np.array([0.5, 3.0 - 0.2j, 40.0 - 2.0j, 60.0 - 6.0j])
     z_ref = 2.0 - 0.1j
-    amos = (np.abs(z) < cylinder._SERIES_MIN_ABS) | (z.imag < cylinder._FORWARD_MIN_IMAG)
     for m in (0, 1):
+        amos = (np.abs(z) < cylinder._SERIES_MIN_ABS) | cylinder._direct_hankel(m, z)
         got = cylinder.hankel1_ratio_array(m, z, z_ref)
         assert np.array_equal(
             got[amos], special.hankel1(m, z[amos]) / special.hankel1(m, z_ref))
@@ -777,8 +778,9 @@ def test_forward_recurrence_matches_loop_oracle():
 
 def test_exterior_pairs_one_rule():
     # K and H^(1) mixed in one batch, orders 0, 1, 2 and 203, Im z from +1
-    # down to -8: below Im z = -4 H^(1) is the direct pair, except at
-    # m = 203, z = 1 - 4.5i, where that overflows and the recurrence stays
+    # down to -8: where ``_direct_hankel`` holds H^(1) is the direct pair,
+    # except at m = 203, z = 1 - 4.5i, where that overflows and the
+    # recurrence stays
     orders = np.repeat([0, 1, 2, 203], 8)
     z = np.tile([0.3, 60.0, 0.7 + 1.0j, 12.0 - 0.5j, 150.0 - 3.9j,
                  1.0 - 4.5j, 40.0 - 6.0j, 9.0 - 8.0j], 4)
@@ -792,7 +794,7 @@ def test_exterior_pairs_one_rule():
         ln_z, ratio = _mp_log_pair(fn, m, arg)
         assert abs(a[i] / b[i] - ratio) <= 1e-12 * abs(ratio), (m, z[i])
         assert _same_log(np.log(b[i]) + scale[i], ln_z) <= 1e-11 * abs(ln_z), (m, z[i])
-        if z[i].imag < -4.0:
+        if cylinder._direct_hankel(m, z[i]):
             with np.errstate(over="ignore", invalid="ignore"):
                 direct = special.hankel1([abs(m - 1), m], z[i])
             direct[0] *= -1.0 if m == 0 else 1.0
@@ -802,15 +804,62 @@ def test_exterior_pairs_one_rule():
                 assert (m, z[i]) == (203, 1.0 - 4.5j) and scale[i] > 0.0
 
 
+def _edge_points(m):
+    """(label, z, direct) on both sides of each edge of ``_direct_hankel``."""
+    eps = 1.0e-9
+
+    def line(mag, im):                                    # |z| = mag on Im z = im
+        return complex(math.sqrt(mag * mag - im * im), im)
+
+    pts = []
+    for im in (-4.5, -8.0, -12.0 + eps):                  # |z| = 2m + 10
+        pts += [(f"|z| edge, Im z {im:.1f}, above", line((2 * m + 10) * (1 + eps), im), False),
+                (f"|z| edge, Im z {im:.1f}, below", line((2 * m + 10) * (1 - eps), im), True)]
+    far, under = 3 * m + 10, 0.5 * m
+    pts += [("Im z = -12 edge, inside", line(far, -12.0 + eps), False),
+            ("Im z = -12 edge, outside", line(far, -12.0 - eps), True),
+            ("Im z = -4 edge far above turning, above", line(far, -4.0 + eps), False),
+            ("Im z = -4 edge far above turning, below", line(far, -4.0 - eps), False)]
+    if under > 4.5:
+        pts += [("Im z = -4 edge under turning, above", line(under, -4.0 + eps), False),
+                ("Im z = -4 edge under turning, below", line(under, -4.0 - eps), True)]
+    return pts
+
+
+def test_direct_hankel_switch_against_mpmath():
+    # both sides of every edge of the direct/recurrence switch, against 30
+    # digits.  The recurrence is within 1e-14 far above the turning point
+    # (measured 4.2e-15) and within 2e-12 just above Im z = -4 under it
+    # (5.8e-13, the e^{2 |Im z|} eps loss the switch is there for); the
+    # direct side is AMOS bitwise (measured within 3.9e-14 of 30 digits).
+    for m in (2, 20, 75, 150):
+        pts = _edge_points(m)
+        z = np.array([p[1] for p in pts])
+        assert np.array_equal(cylinder._direct_hankel(m, z), [p[2] for p in pts]), m
+        _, value, scale = cylinder._exterior_pairs(m, z, False)
+        for (label, zi, direct), v, sc in zip(pts, value, scale):
+            with mpmath.workdps(30):
+                want = mpmath.hankel1(m, mpmath.mpmathify(zi))
+                err = float(abs(mpmath.mpmathify(complex(v)) * mpmath.exp(sc) / want - 1))
+            if direct:
+                assert (v, sc) == (special.hankel1(m, zi), 0.0), (m, label)
+                assert err < 1e-13, (m, label, err)
+            else:
+                bound = 2e-12 if "under" in label else 1e-14
+                assert err < bound, (m, label, err)
+
+
 def test_ratio_array_skips_unused_direct_lower_call(monkeypatch):
-    # a ratio array uses Z_m only.  Below Im z = -4 it calls hankel1 once per
-    # direct element, not twice, and its rows are bitwise the quotients of the
+    # a ratio array uses Z_m only.  Where ``_direct_hankel`` holds it calls
+    # hankel1 once per direct element, not twice, and its rows are bitwise the quotients of the
     # full pairs.  At m = 92, z = 625 - 696i, H_91 overflows and H_92
     # (1.7e299) does not: that element still calls for H_91 and stays with
-    # the recurrence, as in the pair.
-    orders = np.array([0, 1, 92, 75, 120, 203])
+    # the recurrence, as in the pair.  The last row lies under the turning
+    # point (|z| < m), where the direct branch holds down to Im z = -4.
+    orders = np.array([0, 1, 92, 75, 120, 203, 150])
     r = np.linspace(2.0, 8.7, 12)
-    q = np.array([60.0 - 3.0j, 40.0 - 0.5j, 50.0 - 1.0j, 113.0 - 2.0j, 52.6 - 1e-6j, 90.0 - 1.5j])
+    q = np.array([60.0 - 3.0j, 40.0 - 0.5j, 50.0 - 1.0j, 113.0 - 2.0j, 52.6 - 1e-6j, 90.0 - 1.5j,
+                  15.0 - 1.5j])
     z = q[:, None] * r
     z[2, -1] = 625.0 - 696.0j
     z_ref = q * 2.0
@@ -831,7 +880,7 @@ def test_ratio_array_skips_unused_direct_lower_call(monkeypatch):
     value, scale = value.reshape(cols.shape), scale.reshape(cols.shape)
     want = (value[:, :-1] / value[:, -1:]) * np.exp(scale[:, :-1] - scale[:, -1:])
     assert np.array_equal(got, want)
-    direct = cols.ravel().imag < -4.0
+    direct = cylinder._direct_hankel(m, cols.ravel())
     odd = (m == 92) & (cols.ravel() == 625.0 - 696.0j)
     assert direct.sum() > 20 and scale.ravel()[odd][0] > 0.0
     assert calls_pair - calls_ratio == direct.sum() - 1
